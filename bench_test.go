@@ -501,35 +501,21 @@ func BenchmarkTrialLoopHighP(b *testing.B) {
 	})
 }
 
-// BenchmarkBitsetKernels times the multi-word primitives on their own, at
-// the real network's mask width (8 words = 470 cables) and at widths deep
-// into the vector path, so kernel-level regressions are visible before
-// they surface in trial-loop numbers.
+// BenchmarkBitsetKernels times the multi-word popcount on its own, at the
+// real network's mask width (8 words = 470 cables) and at widths deep into
+// the vector path, so kernel-level regressions are visible before they
+// surface in trial-loop numbers.
 func BenchmarkBitsetKernels(b *testing.B) {
 	rng := xrand.New(dataset.DefaultSeed)
 	for _, words := range []int{8, 64, 512} {
 		x := make(graph.Bitset, words)
-		y := make(graph.Bitset, words)
 		for i := range x {
-			x[i], y[i] = rng.Uint64(), rng.Uint64()
+			x[i] = rng.Uint64()
 		}
-		name := func(op string) string { return fmt.Sprintf("%s-%dw", op, words) }
-		b.Run(name("popcount"), func(b *testing.B) {
+		b.Run(fmt.Sprintf("popcount-%dw", words), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = graph.PopcountWords(x)
-			}
-		})
-		b.Run(name("countandnot"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = graph.CountAndNot(x, y)
-			}
-		})
-		b.Run(name("andnotany"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = graph.AndNotAny(x, y)
 			}
 		})
 	}

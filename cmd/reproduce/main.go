@@ -1,6 +1,6 @@
 // Command reproduce regenerates every table and figure of the paper's
 // evaluation from the synthetic world and writes them as text tables and
-// series.
+// series, one section per experiments.Registry entry.
 //
 // Usage:
 //
@@ -24,183 +24,60 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reproduce: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	trials := flag.Int("trials", 10, "Monte Carlo trials per point (paper: 10)")
-	seed := flag.Uint64("seed", dataset.DefaultSeed, "simulation seed")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	only := flag.String("only", "", "comma-separated experiment ids (fig3,fig4a,fig4b,fig5,fig67,fig8,fig9,country,systems,ext-traffic,ext-recovery,ext-resilience,ext-grid,ext-solar,ext-scenario,ext-tail,crosslayer); empty = all")
-	out := flag.String("out", "", "output file (default stdout)")
-	flag.Parse()
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("reproduce", flag.ExitOnError)
+	trials := fs.Int("trials", 10, "Monte Carlo trials per point (paper: 10)")
+	seed := fs.Uint64("seed", dataset.DefaultSeed, "simulation seed")
+	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	only := fs.String("only", "", "comma-separated experiment ids ("+strings.Join(experiments.IDs(), ",")+"); empty = all")
+	out := fs.String("out", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	exps, err := experiments.Select(strings.Split(*only, ","))
+	if err != nil {
+		return err
+	}
 
-	w := io.Writer(os.Stdout)
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		w = f
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
-		}
-	}
-	enabled := func(id string) bool { return len(want) == 0 || want[id] }
-
 	start := time.Now()
 	world, err := dataset.Default()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	log.Printf("world generated in %v", time.Since(start).Round(time.Millisecond))
 
 	cfg := experiments.Config{Trials: *trials, Seed: *seed, Workers: *workers}
-	ctx := context.Background()
-
-	run := func(id string, f func() error) {
-		if !enabled(id) {
-			return
-		}
+	for _, e := range exps {
 		t0 := time.Now()
-		if err := f(); err != nil {
-			log.Fatalf("%s: %v", id, err)
+		res, err := e.Run(context.Background(), world, cfg)
+		if err == nil {
+			err = res.Render(w)
 		}
-		log.Printf("%s done in %v", id, time.Since(t0).Round(time.Millisecond))
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		log.Printf("%s done in %v", e.ID, time.Since(t0).Round(time.Millisecond))
 		fmt.Fprintln(w)
 	}
-
-	run("fig3", func() error {
-		r, err := experiments.Fig3(world)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("fig4a", func() error {
-		r, err := experiments.Fig4a(world)
-		if err != nil {
-			return err
-		}
-		return r.Render(w, "Figure 4a: cable endpoints above |latitude| thresholds (%)")
-	})
-	run("fig4b", func() error {
-		r, err := experiments.Fig4b(world)
-		if err != nil {
-			return err
-		}
-		return r.Render(w, "Figure 4b: other infrastructure above |latitude| thresholds (%)")
-	})
-	run("fig5", func() error {
-		r, err := experiments.Fig5(world)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("fig67", func() error {
-		r, err := experiments.Fig67(ctx, world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("fig8", func() error {
-		r, err := experiments.Fig8(ctx, world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("fig9", func() error {
-		r, err := experiments.Fig9(world)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("country", func() error {
-		r, err := experiments.Countries(ctx, world, cfg, experiments.DefaultCountryCases())
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("systems", func() error {
-		r, err := experiments.Systems(world)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-traffic", func() error {
-		r, err := experiments.ExtTraffic(world)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-recovery", func() error {
-		r, err := experiments.ExtRecovery(world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-resilience", func() error {
-		r, err := experiments.ExtResilience(world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-grid", func() error {
-		r, err := experiments.ExtGrid(world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-solar", func() error {
-		r, err := experiments.ExtSolar()
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-banding", func() error {
-		r, err := experiments.ExtBanding(ctx, world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-scenario", func() error {
-		r, err := experiments.ExtScenario(world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("ext-tail", func() error {
-		r, err := experiments.ExtTail(ctx, world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
-	run("crosslayer", func() error {
-		r, err := experiments.CrossLayer(ctx, world, cfg)
-		if err != nil {
-			return err
-		}
-		return r.Render(w)
-	})
 	log.Printf("all experiments done in %v", time.Since(start).Round(time.Millisecond))
+	return nil
 }

@@ -15,10 +15,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,21 +32,35 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("validate: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	update := flag.Bool("update", false, "rewrite the golden snapshot instead of checking it")
-	goldenPath := flag.String("golden", verify.DefaultGoldenPath, "golden snapshot file")
-	only := flag.String("only", "", "comma-separated layers (golden,invariants,replay); empty = all")
-	trials := flag.Int("trials", 10, "Monte Carlo trials per point (must match the golden)")
-	seed := flag.Uint64("seed", dataset.DefaultSeed, "simulation seed (must match the golden)")
-	workers := flag.Int("workers", 0, "worker budget for the capture run (0 = GOMAXPROCS)")
-	rel := flag.Float64("rel", verify.DefaultTolerance().Rel, "relative tolerance for golden numbers")
-	abs := flag.Float64("abs", verify.DefaultTolerance().Abs, "absolute tolerance for golden numbers")
-	maxDiffs := flag.Int("max-diffs", 25, "mismatches to print before truncating")
-	flag.Parse()
+// layers are the verification layers -only can select.
+var layers = []string{"golden", "invariants", "replay"}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("validate", flag.ExitOnError)
+	update := fs.Bool("update", false, "rewrite the golden snapshot instead of checking it")
+	goldenPath := fs.String("golden", verify.DefaultGoldenPath, "golden snapshot file")
+	only := fs.String("only", "", "comma-separated layers ("+strings.Join(layers, ",")+"); empty = all")
+	trials := fs.Int("trials", 10, "Monte Carlo trials per point (must match the golden)")
+	seed := fs.Uint64("seed", dataset.DefaultSeed, "simulation seed (must match the golden)")
+	workers := fs.Int("workers", 0, "worker budget for the capture run (0 = GOMAXPROCS)")
+	rel := fs.Float64("rel", verify.DefaultTolerance().Rel, "relative tolerance for golden numbers")
+	abs := fs.Float64("abs", verify.DefaultTolerance().Abs, "absolute tolerance for golden numbers")
+	maxDiffs := fs.Int("max-diffs", 25, "mismatches to print before truncating")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	want := map[string]bool{}
 	for _, layer := range strings.Split(*only, ",") {
 		if layer = strings.TrimSpace(layer); layer != "" {
+			if !slices.Contains(layers, layer) {
+				return fmt.Errorf("unknown layer %q in -only (known: %s)", layer, strings.Join(layers, ","))
+			}
 			want[layer] = true
 		}
 	}
@@ -54,7 +70,7 @@ func main() {
 	start := time.Now()
 	world, err := dataset.Default()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := experiments.Config{Trials: *trials, Seed: *seed, Workers: *workers}
 	failed := false
@@ -62,33 +78,33 @@ func main() {
 	if *update {
 		snap, err := verify.Capture(ctx, world, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := verify.WriteGolden(*goldenPath, snap); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("golden updated: %s (seed=%d trials=%d) in %v",
 			*goldenPath, cfg.Seed, cfg.Trials, time.Since(start).Round(time.Millisecond))
-		return
+		return nil
 	}
 
 	if enabled("golden") {
 		t0 := time.Now()
 		golden, err := verify.LoadGolden(*goldenPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if golden.Seed != cfg.Seed || golden.Trials != cfg.Trials {
-			log.Fatalf("golden was captured with seed=%d trials=%d, run requests seed=%d trials=%d",
+			return fmt.Errorf("golden was captured with seed=%d trials=%d, run requests seed=%d trials=%d",
 				golden.Seed, golden.Trials, cfg.Seed, cfg.Trials)
 		}
 		snap, err := verify.Capture(ctx, world, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		mismatches, err := verify.DiffSnapshots(snap, golden, verify.Tolerance{Rel: *rel, Abs: *abs})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if len(mismatches) == 0 {
 			log.Printf("PASS golden: snapshot matches %s within rel=%g abs=%g (%v)",
@@ -135,7 +151,7 @@ func main() {
 
 	log.Printf("done in %v", time.Since(start).Round(time.Millisecond))
 	if failed {
-		fmt.Fprintln(os.Stderr, "validate: FAILED")
-		os.Exit(1)
+		return errors.New("FAILED")
 	}
+	return nil
 }

@@ -7,7 +7,6 @@ package asn
 
 import (
 	"errors"
-	"sort"
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/geo"
@@ -123,35 +122,4 @@ func Analyze(cat *dataset.RouterCatalog) (*Summary, error) {
 // SpreadPoints samples n points of the spread CDF for plotting (Fig 9b).
 func (s *Summary) SpreadPoints(n int) []stats.Point {
 	return s.SpreadCDF.Points(n)
-}
-
-// TopSpreads returns the n widest ASes' (ASN, spread) pairs, widest first —
-// the candidates most likely to be directly affected.
-func TopSpreads(cat *dataset.RouterCatalog, n int) []struct {
-	ASN    int
-	Spread float64
-} {
-	type row struct {
-		ASN    int
-		Spread float64
-	}
-	rows := make([]row, 0, len(cat.ASes))
-	for i := range cat.ASes {
-		rows = append(rows, row{cat.ASes[i].ASN, cat.ASes[i].LatitudeSpread()})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Spread > rows[j].Spread })
-	if n > len(rows) {
-		n = len(rows)
-	}
-	out := make([]struct {
-		ASN    int
-		Spread float64
-	}, n)
-	for i := 0; i < n; i++ {
-		out[i] = struct {
-			ASN    int
-			Spread float64
-		}{rows[i].ASN, rows[i].Spread}
-	}
-	return out
 }

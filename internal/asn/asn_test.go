@@ -99,21 +99,3 @@ func TestExposureString(t *testing.T) {
 		t.Error("exposure names wrong")
 	}
 }
-
-func TestTopSpreads(t *testing.T) {
-	cat := catalog(t)
-	top := TopSpreads(cat, 10)
-	if len(top) != 10 {
-		t.Fatalf("len = %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Spread > top[i-1].Spread {
-			t.Error("not sorted widest first")
-			break
-		}
-	}
-	all := TopSpreads(cat, 1<<30)
-	if len(all) != len(cat.ASes) {
-		t.Errorf("oversized n should clamp: %d", len(all))
-	}
-}

@@ -131,8 +131,8 @@ func TestSubmarineCalibration(t *testing.T) {
 
 func TestSubmarineConnected(t *testing.T) {
 	net := world(t).Submarine
-	if got := net.Graph().LargestComponentSize(nil); got != len(net.Nodes) {
-		t.Errorf("largest component = %d of %d nodes", got, len(net.Nodes))
+	if got := net.Graph().ComponentCount(nil); got != 1 {
+		t.Errorf("%d components over %d nodes, want one", got, len(net.Nodes))
 	}
 }
 
@@ -262,8 +262,8 @@ func TestIntertubesCalibration(t *testing.T) {
 
 func TestIntertubesConnected(t *testing.T) {
 	net := world(t).Intertubes
-	if got := net.Graph().LargestComponentSize(nil); got != len(net.Nodes) {
-		t.Errorf("largest component = %d of %d", got, len(net.Nodes))
+	if got := net.Graph().ComponentCount(nil); got != 1 {
+		t.Errorf("%d components over %d nodes, want one", got, len(net.Nodes))
 	}
 }
 
@@ -307,8 +307,8 @@ func TestITUCalibration(t *testing.T) {
 
 func TestITUConnected(t *testing.T) {
 	net := world(t).ITU
-	if got := net.Graph().LargestComponentSize(nil); got != len(net.Nodes) {
-		t.Errorf("largest component = %d of %d", got, len(net.Nodes))
+	if got := net.Graph().ComponentCount(nil); got != 1 {
+		t.Errorf("%d components over %d nodes, want one", got, len(net.Nodes))
 	}
 }
 

@@ -176,16 +176,22 @@ func Fig5(w *dataset.World) (*Fig5Result, error) {
 	return r, nil
 }
 
-// Quantile returns the q-quantile (q in [0,1]) of the named network's
-// cable-length CDF, or (0, false) if the network is unknown. It is the
-// check-friendly accessor the verification subsystem snapshots instead of
-// the full CDF.
-func (r *Fig5Result) Quantile(network string, q float64) (float64, bool) {
-	cdf, ok := r.CDFs[network]
-	if !ok {
-		return 0, false
+// lengthQuantiles are the golden quantiles of one cable-length CDF: the
+// numbers the paper reports, and ones a human can read in a golden diff.
+type lengthQuantiles struct {
+	P50 float64 `json:"p50"`
+	P90 float64 `json:"p90"`
+	P99 float64 `json:"p99"`
+	Max float64 `json:"max"`
+}
+
+// golden pins each network's length quantiles rather than the full CDF.
+func (r *Fig5Result) golden() any {
+	out := map[string]lengthQuantiles{}
+	for name, cdf := range r.CDFs {
+		out[name] = lengthQuantiles{P50: cdf.Quantile(0.5), P90: cdf.Quantile(0.9), P99: cdf.Quantile(0.99), Max: cdf.Quantile(1)}
 	}
-	return cdf.Quantile(q), true
+	return out
 }
 
 // Render writes each CDF as sampled points.
@@ -473,6 +479,29 @@ func Fig9(w *dataset.World) (*Fig9Result, error) {
 	return &Fig9Result{Summary: s}, nil
 }
 
+// fig9Golden is the golden projection of the AS summary.
+type fig9Golden struct {
+	Thresholds      []float64 `json:"thresholds"`
+	ReachFrac       []float64 `json:"reach_frac"`
+	ReachAbove40    float64   `json:"reach_above_40"`
+	MedianSpreadDeg float64   `json:"median_spread_deg"`
+	P90SpreadDeg    float64   `json:"p90_spread_deg"`
+	DirectASes      int       `json:"direct_ases"`
+	IndirectASes    int       `json:"indirect_ases"`
+	LowASes         int       `json:"low_ases"`
+}
+
+func (r *Fig9Result) golden() any {
+	s := r.Summary
+	return fig9Golden{
+		Thresholds: s.Thresholds, ReachFrac: s.ReachFrac, ReachAbove40: s.ReachAbove40,
+		MedianSpreadDeg: s.MedianSpreadDeg, P90SpreadDeg: s.P90SpreadDeg,
+		DirectASes:   s.ByExposure[asn.ExposureDirect],
+		IndirectASes: s.ByExposure[asn.ExposureIndirect],
+		LowASes:      s.ByExposure[asn.ExposureLow],
+	}
+}
+
 // Render writes the 9a curve and 9b CDF sample.
 func (r *Fig9Result) Render(w io.Writer) error {
 	if err := report.RenderSeries(w, "Figure 9a: ASes with presence above threshold", "|lat|>=",
@@ -562,6 +591,38 @@ func Countries(ctx context.Context, w *dataset.World, cfg Config, cases []Countr
 	return out, nil
 }
 
+type partnerGolden struct {
+	To           string  `json:"to"`
+	SurvivalProb float64 `json:"survival_prob"`
+	Trials       int     `json:"trials"`
+}
+
+type countryGolden struct {
+	Target            string          `json:"target"`
+	Cables            int             `json:"cables"`
+	ExpectedSurvivors float64         `json:"expected_survivors"`
+	IsolationProb     float64         `json:"isolation_prob"`
+	Partners          []partnerGolden `json:"partners"`
+}
+
+// golden pins every row of both state tables.
+func (r *CountryResult) golden() any {
+	out := map[string][]countryGolden{}
+	for state, reports := range r.Reports {
+		rows := make([]countryGolden, len(reports))
+		for i, rep := range reports {
+			rows[i] = countryGolden{Target: string(rep.Target), Cables: len(rep.Cables),
+				ExpectedSurvivors: rep.ExpectedSurvivors, IsolationProb: rep.IsolationProb}
+			for _, p := range rep.Partners {
+				rows[i].Partners = append(rows[i].Partners,
+					partnerGolden{To: string(p.To), SurvivalProb: p.SurvivalProb, Trials: p.Trials})
+			}
+		}
+		out[state] = rows
+	}
+	return out
+}
+
 // Render writes one table per state.
 func (r *CountryResult) Render(w io.Writer) error {
 	for _, state := range []string{"S1", "S2"} {
@@ -617,11 +678,35 @@ func Systems(w *dataset.World) (*SystemsResult, error) {
 	return &SystemsResult{Infra: ir, ASes: as}, nil
 }
 
+// systems lists the distributions in table order.
+func (r *SystemsResult) systems() []*infra.Distribution {
+	return []*infra.Distribution{r.Infra.DNS, r.Infra.Google, r.Infra.Facebook, r.Infra.IXPs, r.Infra.Routers}
+}
+
+type systemGolden struct {
+	Name          string  `json:"name"`
+	Count         int     `json:"count"`
+	FracAbove40   float64 `json:"frac_above_40"`
+	SouthernShare float64 `json:"southern_share"`
+	Regions       int     `json:"regions"`
+	Resilience    float64 `json:"resilience"`
+}
+
+// golden pins the systems table; the AS exposure rows are fig9's.
+func (r *SystemsResult) golden() any {
+	var out []systemGolden
+	for _, d := range r.systems() {
+		out = append(out, systemGolden{Name: d.Name, Count: d.Count, FracAbove40: d.FracAbove40,
+			SouthernShare: d.SouthernShare, Regions: len(d.Regions), Resilience: d.ResilienceScore()})
+	}
+	return out
+}
+
 // Render writes the systems table.
 func (r *SystemsResult) Render(w io.Writer) error {
 	t := report.NewTable("Systems resilience (§4.4)",
 		"system", "sites", "above-40", "southern-share", "regions", "resilience")
-	for _, d := range []*infra.Distribution{r.Infra.DNS, r.Infra.Google, r.Infra.Facebook, r.Infra.IXPs, r.Infra.Routers} {
+	for _, d := range r.systems() {
 		t.AddRow(d.Name, fmt.Sprint(d.Count), report.Pct(d.FracAbove40),
 			report.Pct(d.SouthernShare), fmt.Sprint(len(d.Regions)),
 			fmt.Sprintf("%.2f", d.ResilienceScore()))

@@ -9,6 +9,7 @@ import (
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/grid"
+	"gicnet/internal/partition"
 	"gicnet/internal/recovery"
 	"gicnet/internal/report"
 	"gicnet/internal/resilience"
@@ -120,6 +121,17 @@ func ExtRecovery(w *dataset.World, cfg Config) (*ExtRecoveryResult, error) {
 	}, nil
 }
 
+// golden pins the campaign; milestones are keyed by their fraction
+// because encoding/json cannot encode float map keys.
+func (r *ExtRecoveryResult) golden() any {
+	restored := map[string]float64{}
+	for m, days := range r.RestoredAt {
+		restored[fmt.Sprint(m)] = days
+	}
+	return map[string]any{"faults": r.Faults, "restored_at_days": restored,
+		"fleet_days_to_95": r.FleetSweep, "makespan_days": r.MakespanDays}
+}
+
 // Render writes the recovery experiment tables.
 func (r *ExtRecoveryResult) Render(w io.Writer) error {
 	t := report.NewTable("Extension: S1 repair campaign (§3.2.2)", "milestone", "days", "months")
@@ -153,6 +165,16 @@ func ExtResilience(w *dataset.World, cfg Config) (*ExtResilienceResult, error) {
 	return &ExtResilienceResult{Results: rs}, nil
 }
 
+// golden pins the placement table's means: stats.Running encodes as {}.
+func (r *ExtResilienceResult) golden() any {
+	var out []map[string]any
+	for _, res := range r.Results {
+		out = append(out, map[string]any{"placement": res.Placement, "mean_availability": res.Availability.Mean(),
+			"worst_trial": res.WorstTrial, "partitions_served": res.PartitionsServed.Mean()})
+	}
+	return out
+}
+
 // Render writes the placement table.
 func (r *ExtResilienceResult) Render(w io.Writer) error {
 	t := report.NewTable("Extension: placement availability under S1 (§5.4)",
@@ -179,6 +201,13 @@ func ExtGrid(w *dataset.World, cfg Config) (*ExtGridResult, error) {
 		return nil, err
 	}
 	return &ExtGridResult{Amp: amp}, nil
+}
+
+// golden pins the coupling table's means: stats.Running encodes as {}.
+func (r *ExtGridResult) golden() any {
+	return map[string]float64{"cable_frac_alone": r.Amp.CableFracAlone.Mean(),
+		"cable_frac_coupled": r.Amp.CableFracCoupled.Mean(), "amplification": r.Amp.Factor(),
+		"stations_dark": r.Amp.StationsDark.Mean()}
 }
 
 // Render writes the coupling table.
@@ -286,4 +315,60 @@ func ExtScenario(w *dataset.World, cfg Config) (*scenario.Report, error) {
 	sc := scenario.DefaultConfig()
 	sc.Seed = cfg.Seed
 	return scenario.Run(w, sc)
+}
+
+// scenarioGolden pins the numbers the scenario table prints; the full
+// report also carries per-cable plans and per-repair events.
+func scenarioGolden(r *scenario.Report) any {
+	g := map[string]any{
+		"storm": r.Storm, "lead_time_hours": r.LeadTimeHours,
+		"cables_dead": r.CablesDead, "nodes_isolated": r.NodesIsolated, "stations_dark": r.StationsDark,
+		"components": r.Fragmentation.Components, "largest_frac": r.Fragmentation.LargestFrac,
+		"region_split":     r.Fragmentation.RegionSplit,
+		"traffic_stranded": r.TrafficStranded, "top_shifts": r.TopShifts,
+		"satellites_damaged": r.Satellite.DamagedExpected, "drag_multiplier": r.Satellite.DragMultiplier,
+		"fault_count": r.FaultCount,
+	}
+	if r.Plan != nil {
+		g["powered_off"], g["survivor_gain"] = r.Plan.PowerOffCount(), r.Plan.Improvement()
+	}
+	if r.Recovery != nil {
+		g["restored_90_days"], g["makespan_days"] = r.Recovery.RestoredAt[0.9], r.Recovery.MakespanDays
+	}
+	if r.Economic != nil {
+		g["economic_usd"], g["economic_by_region"] = r.Economic.TotalUSD, r.Economic.ByRegion
+	}
+	return g
+}
+
+// ExtBridgesResult is the §5.1 topology-design pick: the low-latitude
+// bridge cables that best restore one country's reach to another.
+type ExtBridgesResult struct {
+	From, To   string
+	SpacingKm  float64
+	Candidates []partition.Candidate
+}
+
+// ExtBridges asks partition.Recommend for the bridges that best keep New
+// Zealand connected to the United States under S1, the question
+// examples/topology-design answers.
+func ExtBridges(w *dataset.World, cfg Config) (*ExtBridgesResult, error) {
+	r := &ExtBridgesResult{From: "nz", To: "us", SpacingKm: 150}
+	var err error
+	r.Candidates, err = partition.Recommend(w, failure.S1(), r.SpacingKm, cfg.Trials, cfg.Seed, 8, r.From, r.To)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Render writes the ranked bridge table.
+func (r *ExtBridgesResult) Render(w io.Writer) error {
+	t := report.NewTable(fmt.Sprintf("Extension: low-latitude bridges for %s <-> %s under S1 (§5.1, %.0f km)",
+		r.From, r.To, r.SpacingKm), "from", "to", "length-km", "p(survives)", "benefit")
+	for _, c := range r.Candidates {
+		t.AddRow(c.From, c.To, fmt.Sprintf("%.0f", c.LengthKm), fmt.Sprintf("%.2f", c.SurvivalProb),
+			fmt.Sprintf("%+.3f", c.Benefit))
+	}
+	return t.Render(w)
 }

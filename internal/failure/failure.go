@@ -138,15 +138,31 @@ func (f Func) Name() string { return f.Label }
 // RepeaterProb implements Model.
 func (f Func) RepeaterProb(net *topology.Network, ci int) float64 { return f.F(net, ci) }
 
-// ErrBadSpacing reports a non-positive inter-repeater distance.
-var ErrBadSpacing = errors.New("failure: inter-repeater spacing must be positive")
+// MinSpacingKm is the smallest inter-repeater spacing the model accepts.
+// The paper uses 50-150 km; at 1 km the longest cable already carries
+// ~39,000 repeaters, which keeps per-repeater loops such as
+// recovery.FaultsFrom bounded.
+const MinSpacingKm = 1
+
+// ErrBadSpacing reports an inter-repeater spacing that CheckSpacing refuses.
+var ErrBadSpacing = errors.New("failure: inter-repeater spacing must be finite and at least 1 km")
+
+// CheckSpacing is the spacing check shared by every entry point that takes
+// an inter-repeater distance: it returns ErrBadSpacing for NaN, infinite
+// and sub-MinSpacingKm spacings.
+func CheckSpacing(spacingKm float64) error {
+	if !(spacingKm >= MinSpacingKm) || math.IsInf(spacingKm, 1) {
+		return ErrBadSpacing
+	}
+	return nil
+}
 
 // CableDeathProb returns the exact probability that cable ci dies:
 // 1 - (1-p)^r for r repeaters of failure probability p. Cables with no
 // repeaters never die.
 func CableDeathProb(net *topology.Network, m Model, spacingKm float64, ci int) (float64, error) {
-	if spacingKm <= 0 {
-		return 0, ErrBadSpacing
+	if err := CheckSpacing(spacingKm); err != nil {
+		return 0, err
 	}
 	r := net.Cables[ci].RepeaterCount(spacingKm)
 	if r == 0 {
@@ -167,8 +183,8 @@ func CableDeathProb(net *topology.Network, m Model, spacingKm float64, ci int) (
 // aggregated Bernoulli is distribution-identical to sampling each repeater,
 // and orders of magnitude faster on 22-repeater submarine cables.
 func SampleCableDeaths(net *topology.Network, m Model, spacingKm float64, rng *xrand.Source) ([]bool, error) {
-	if spacingKm <= 0 {
-		return nil, ErrBadSpacing
+	if err := CheckSpacing(spacingKm); err != nil {
+		return nil, err
 	}
 	dead := make([]bool, len(net.Cables))
 	for ci := range net.Cables {

@@ -51,8 +51,9 @@ func fuzzNetwork(seed uint64, nodes, cables int) *topology.Network {
 }
 
 // FuzzPlanCompile drives Plan compilation over random networks, spacings
-// and model probabilities. Properties: Compile on a valid network and
-// positive spacing always succeeds and yields a plan that (a) passes
+// and model probabilities. Properties: Compile refuses exactly the
+// spacings CheckSpacing refuses (NaN, infinite, below 1 km); on a valid
+// network and spacing it always succeeds and yields a plan that (a) passes
 // Validate, (b) samples bit-identically to the uncompiled path, and
 // (c) evaluates to the same outcome as the uncompiled path.
 func FuzzPlanCompile(f *testing.F) {
@@ -62,6 +63,9 @@ func FuzzPlanCompile(f *testing.F) {
 	f.Add(uint64(9), 3, 4, 0.0, 0.5)   // invalid spacing
 	f.Add(uint64(11), 4, 4, -20.0, 1.0)
 	f.Add(uint64(13), 30, 40, 1e-9, 0.25) // pathological spacing: huge repeater counts
+	f.Add(uint64(15), 8, 12, math.NaN(), 0.5)
+	f.Add(uint64(17), 8, 12, 0.999, 0.5) // just below the 1 km floor
+	f.Add(uint64(19), 8, 12, 1.0, 0.5)   // the floor itself is valid
 
 	f.Fuzz(func(t *testing.T, seed uint64, nodes, cables int, spacing, p float64) {
 		net := fuzzNetwork(seed, nodes, cables)
@@ -77,7 +81,7 @@ func FuzzPlanCompile(f *testing.F) {
 		model := Uniform{P: p}
 
 		plan, err := Compile(net, model, spacing)
-		if spacing <= 0 || math.IsNaN(spacing) {
+		if CheckSpacing(spacing) != nil {
 			if err == nil {
 				t.Fatalf("Compile accepted spacing %v", spacing)
 			}

@@ -103,8 +103,8 @@ func Compile(net *topology.Network, m Model, spacingKm float64) (*Plan, error) {
 // compiles many plans (one sweep point after another) allocates only on
 // first use. The previous contents of p are discarded.
 func CompileInto(p *Plan, net *topology.Network, m Model, spacingKm float64) error {
-	if spacingKm <= 0 {
-		return ErrBadSpacing
+	if err := CheckSpacing(spacingKm); err != nil {
+		return err
 	}
 	nc := len(net.Cables)
 	p.net = net

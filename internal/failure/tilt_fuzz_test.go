@@ -9,7 +9,8 @@ import (
 
 // FuzzTiltedSampler drives the importance-sampling primitive over random
 // networks, probabilities and tilt factors. Properties: construction on a
-// valid plan and positive finite lambda always succeeds and validates;
+// valid plan (any spacing CheckSpacing accepts) and positive finite lambda
+// always succeeds and validates;
 // every sampled realisation prices to a finite log likelihood ratio that
 // matches a dense recomputation from the probability vectors; and at
 // lambda = 1 the sampler is the plain sampler with every weight exactly
@@ -20,7 +21,7 @@ func FuzzTiltedSampler(f *testing.F) {
 	f.Add(uint64(7), 16, 24, 500.0, 1e-6, 900.0)
 	f.Add(uint64(42), 4, 6, 80.0, 0.999, 1.0)
 	f.Fuzz(func(t *testing.T, seed uint64, nodes, cables int, spacingKm, p, lambda float64) {
-		if !(spacingKm > 0) || spacingKm > 1e6 {
+		if CheckSpacing(spacingKm) != nil || spacingKm > 1e6 {
 			t.Skip()
 		}
 		if !(p >= 0) || p > 1 {

@@ -400,57 +400,15 @@ func rootComp(cc *CoreContraction, cuts []int32, set []int32) (int32, bool) {
 	return 0, false
 }
 
-// rootCompNodes is rootComp over raw node ids.
-//
-//gicnet:hotpath
-func rootCompNodes(cc *CoreContraction, cuts []int32, nodes []NodeID) (int32, bool) {
-	for _, n := range nodes {
-		if sp := cc.super[n]; !underCut(cc, cuts, sp) {
-			return cc.comp[sp], true
-		}
-	}
-	return 0, false
-}
-
-// AnyConnectedCore reports whether any node of from shares a component with
-// any node of to in the trial described by deadClasses, answered on the
-// contracted graph. It is the contracted form of AnyConnectedBits. Trials
-// that kill few classes take the forest path (work proportional to the
-// deletions); denser masks fall back to re-unioning the frontier. Both
-// paths are exact, so the verdict never depends on which one ran.
-//
-//gicnet:hotpath
-func (s *Scratch) AnyConnectedCore(cc *CoreContraction, deadClasses Bitset, from, to []NodeID) bool {
-	if cc.g != s.g {
-		panic("graph: Scratch and CoreContraction bound to different graphs")
-	}
-	if cuts, ok := s.forestCuts(cc, deadClasses, forestCutBudget); ok {
-		if cf, okf := rootCompNodes(cc, cuts, from); okf {
-			for _, n := range to {
-				sp := cc.super[n]
-				if cc.comp[sp] == cf && !underCut(cc, cuts, sp) {
-					return true
-				}
-			}
-		}
-	}
-	uf := s.ComponentsCore(cc, deadClasses)
-	stamp := s.nextStamp()
-	for _, n := range from {
-		s.seen[uf.Find(int(cc.super[n]))] = stamp
-	}
-	for _, n := range to {
-		if s.seen[uf.Find(int(cc.super[n]))] == stamp {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyConnectedSupers is AnyConnectedCore with the query sets already
-// resolved to distinct supernodes (see SupersOf), saving the per-node
-// super lookups in trial loops that ask about the same pair thousands of
-// times.
+// AnyConnectedSupers reports whether any supernode of fromSupers shares a
+// component with any supernode of toSupers in the trial described by
+// deadClasses, answered on the contracted graph. The query sets are
+// already resolved to distinct supernodes (see SupersOf), saving the
+// per-node super lookups in trial loops that ask about the same pair
+// thousands of times. Trials that kill few classes take the forest path
+// (work proportional to the deletions); denser masks fall back to
+// re-unioning the frontier. Both paths are exact, so the verdict never
+// depends on which one ran.
 //
 //gicnet:hotpath
 func (s *Scratch) AnyConnectedSupers(cc *CoreContraction, deadClasses Bitset, fromSupers, toSupers []int32) bool {

@@ -136,15 +136,12 @@ func checkAgreement(t *testing.T, c randomContractionCase, cc *CoreContraction, 
 		}
 	}
 
-	// Country-pair style verdicts over random node sets, through both the
-	// node-level and precomputed-supernode query forms.
+	// Country-pair style verdicts over random node sets, through the
+	// precomputed-supernode query form.
 	for q := 0; q < 4; q++ {
 		from := randomNodeSet(r, n)
 		to := randomNodeSet(r, n)
 		direct := scratchDirect.AnyConnectedBits(deadEdges, from, to)
-		if got := scratchCore.AnyConnectedCore(cc, deadClasses, from, to); got != direct {
-			t.Fatalf("AnyConnectedCore(%v,%v) = %v, direct %v", from, to, got, direct)
-		}
 		fromS := cc.SupersOf(nil, from)
 		toS := cc.SupersOf(nil, to)
 		if got := scratchCore.AnyConnectedSupers(cc, deadClasses, fromS, toS); got != direct {

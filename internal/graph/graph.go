@@ -137,21 +137,6 @@ func (g *Graph) ComponentCount(mask AliveMask) int {
 	return count
 }
 
-// Reachable returns the set of nodes reachable from start via alive edges
-// (including start itself). It is the convenience form of Scratch.Reachable,
-// which hot paths should call directly to avoid the per-call allocations.
-func (g *Graph) Reachable(start NodeID, mask AliveMask) (map[NodeID]bool, error) {
-	nodes, err := g.NewScratch().Reachable(nil, start, mask)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		seen[n] = true
-	}
-	return seen, nil
-}
-
 // Isolated reports the nodes whose incident edges are all dead under the
 // mask — the paper's definition of an unreachable node (§4.3.1): "a node is
 // unreachable when all its connected links have failed". Nodes with zero

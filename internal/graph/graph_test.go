@@ -120,17 +120,20 @@ func TestReachable(t *testing.T) {
 		mask[i] = true
 	}
 	mask[3] = false // cut 3-4
-	got, err := g.Reachable(0, mask)
+	s := g.NewScratch()
+	got, err := s.Reachable(nil, 0, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 {
 		t.Errorf("reachable = %d nodes, want 4", len(got))
 	}
-	if got[NodeID(4)] || got[NodeID(5)] {
-		t.Error("nodes beyond the cut should be unreachable")
+	for _, n := range got {
+		if n == 4 || n == 5 {
+			t.Error("nodes beyond the cut should be unreachable")
+		}
 	}
-	if _, err := g.Reachable(NodeID(-1), nil); err == nil {
+	if _, err := s.Reachable(nil, NodeID(-1), nil); err == nil {
 		t.Error("Reachable(-1) should error")
 	}
 }
@@ -279,13 +282,16 @@ func TestComponentsMatchReachableProperty(t *testing.T) {
 		}
 		labels, _ := g.Components(mask)
 		a := NodeID(rng.Intn(n))
-		reach, err := g.Reachable(a, mask)
+		reach, err := g.NewScratch().Reachable(nil, a, mask)
 		if err != nil {
 			return false
 		}
+		reached := make([]bool, n)
+		for _, b := range reach {
+			reached[b] = true
+		}
 		for b := 0; b < n; b++ {
-			same := labels[a] == labels[b]
-			if same != reach[NodeID(b)] {
+			if same := labels[a] == labels[b]; same != reached[b] {
 				return false
 			}
 		}

@@ -3,9 +3,9 @@ package graph
 import "math/bits"
 
 // This file is the architecture-independent face of the batched bitset
-// kernels: multi-word popcount / and-not sweeps that the Monte Carlo block
-// evaluator (failure.Plan.EvaluateBatch) and the Bitset methods run on.
-// Each primitive has three implementations selected at build time:
+// kernels: the multi-word popcount that the Monte Carlo block evaluator
+// (failure.Plan.EvaluateBatch) and the Bitset methods run on. It has three
+// implementations selected at build time:
 //
 //   - kernels_amd64.go / kernels_amd64.s — AVX2 assembly (4 words per
 //     vector step, positional-nibble VPSHUFB popcount), chosen at runtime
@@ -15,8 +15,8 @@ import "math/bits"
 //   - kernels_generic.go — the unrolled pure-Go loops below, used on every
 //     other GOARCH and whenever the build sets the `purego` tag.
 //
-// The Go loops in this file are the reference semantics: every assembly
-// implementation must agree with them bit for bit on any input, which
+// The Go loop in this file is the reference semantics: every assembly
+// implementation must agree with it bit for bit on any input, which
 // TestBitsetKernels and FuzzBitsetKernels enforce across adversarial
 // tail-word shapes (lengths 0–257 bits).
 
@@ -27,21 +27,6 @@ import "math/bits"
 //
 //gicnet:hotpath
 func PopcountWords(w []uint64) int { return popcountWords(w) }
-
-// CountAndNot returns the number of bits set in a and clear in b — the
-// popcount of a &~ b without materialising the difference. a and b must
-// have the same word length.
-//
-//gicnet:hotpath
-func CountAndNot(a, b Bitset) int { return countAndNot(a, b[:len(a)]) }
-
-// AndNotAny reports whether any bit of a is clear in b, i.e. whether
-// a &~ b is non-empty. It is the word-level form of "is a a subset of b"
-// (negated) and exits on the first witness word. a and b must have the
-// same word length.
-//
-//gicnet:hotpath
-func AndNotAny(a, b Bitset) bool { return andNotAny(a, b[:len(a)]) }
 
 // Count returns the number of set bits.
 //
@@ -65,45 +50,6 @@ func popcountWordsGo(w []uint64) int {
 		n += bits.OnesCount64(w[i])
 	}
 	return n
-}
-
-// countAndNotGo is the unrolled scalar a &~ b popcount; see popcountWordsGo.
-//
-//gicnet:hotpath
-func countAndNotGo(a, b []uint64) int {
-	b = b[:len(a)]
-	n := 0
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		n += bits.OnesCount64(a[i]&^b[i]) + bits.OnesCount64(a[i+1]&^b[i+1]) +
-			bits.OnesCount64(a[i+2]&^b[i+2]) + bits.OnesCount64(a[i+3]&^b[i+3])
-	}
-	for ; i < len(a); i++ {
-		n += bits.OnesCount64(a[i] &^ b[i])
-	}
-	return n
-}
-
-// andNotAnyGo is the unrolled scalar any-bit test: it folds four words of
-// a &~ b into one OR before branching, so the common all-zero prefix costs
-// one predictable branch per four words while still exiting within a
-// four-word window of the first witness.
-//
-//gicnet:hotpath
-func andNotAnyGo(a, b []uint64) bool {
-	b = b[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		if a[i]&^b[i]|a[i+1]&^b[i+1]|a[i+2]&^b[i+2]|a[i+3]&^b[i+3] != 0 {
-			return true
-		}
-	}
-	for ; i < len(a); i++ {
-		if a[i]&^b[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Transpose64 transposes a 64×64 bit matrix in place: after the call, bit

@@ -24,22 +24,6 @@ func popcountWords(w []uint64) int {
 	return popcountWordsGo(w)
 }
 
-//gicnet:hotpath
-func countAndNot(a, b []uint64) int {
-	if hasAVX2 && len(a) >= avx2MinWords {
-		return countAndNotAVX2(a, b)
-	}
-	return countAndNotGo(a, b)
-}
-
-//gicnet:hotpath
-func andNotAny(a, b []uint64) bool {
-	if hasAVX2 && len(a) >= avx2MinWords {
-		return andNotAnyAVX2(a, b)
-	}
-	return andNotAnyGo(a, b)
-}
-
 func cpuFeatures() string {
 	if hasAVX2 {
 		return "avx2"
@@ -71,19 +55,12 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
-// Assembly-backed declarations (kernels_amd64.s). The vector routines
-// accept any slice length — full 4-word steps run through AVX2 and the
-// remainder through a scalar POPCNT tail — and b must be at least as long
-// as a for the two-operand forms (the exported wrappers reslice).
+// Assembly-backed declarations (kernels_amd64.s). The vector routine
+// accepts any slice length: full 4-word steps run through AVX2 and the
+// remainder through a scalar POPCNT tail.
 
 //go:noescape
 func popcountWordsAVX2(w []uint64) int
-
-//go:noescape
-func countAndNotAVX2(a, b []uint64) int
-
-//go:noescape
-func andNotAnyAVX2(a, b []uint64) bool
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,12 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 bitset kernels. The popcount core is the positional-nibble method:
+// AVX2 bitset popcount. The core is the positional-nibble method:
 // VPSHUFB looks 32 low and 32 high nibbles up in a per-byte popcount table
 // at once, VPSADBW folds the byte counts into four per-lane qword sums,
 // and one VPADDQ accumulates — 4 input words per step with no data-
 // dependent branches. Tails (len % 4 words) run through scalar POPCNT so
-// the routines accept any slice length.
+// the routine accepts any slice length.
 
 // Per-byte popcount of the 16 nibble values, repeated across both 128-bit
 // lanes (VPSHUFB indexes within each lane).
@@ -64,97 +64,6 @@ tail:
 	JNZ  tail
 done:
 	MOVQ AX, ret+24(FP)
-	RET
-
-// func countAndNotAVX2(a, b []uint64) int
-TEXT ·countAndNotAVX2(SB), NOSPLIT, $0-56
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	VPXOR Y7, Y7, Y7
-	VPXOR Y6, Y6, Y6
-	VMOVDQU popcntLUT<>(SB), Y4
-	VMOVDQU nibbleMask<>(SB), Y5
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   reduce
-loop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (DI), Y1
-	ADDQ $32, SI
-	ADDQ $32, DI
-	VPANDN  Y0, Y1, Y0            // a &^ b
-	VPAND   Y5, Y0, Y1
-	VPSRLW  $4, Y0, Y0
-	VPAND   Y5, Y0, Y0
-	VPSHUFB Y1, Y4, Y1
-	VPSHUFB Y0, Y4, Y0
-	VPADDB  Y1, Y0, Y0
-	VPSADBW Y6, Y0, Y0
-	VPADDQ  Y0, Y7, Y7
-	DECQ DX
-	JNZ  loop
-reduce:
-	VEXTRACTI128 $1, Y7, X0
-	VPADDQ  X0, X7, X7
-	VPSHUFD $0x4E, X7, X0
-	VPADDQ  X0, X7, X7
-	MOVQ X7, AX
-	VZEROUPPER
-	ANDQ $3, CX
-	JZ   done
-tail:
-	MOVQ (DI), DX
-	NOTQ DX
-	ANDQ (SI), DX
-	POPCNTQ DX, DX
-	ADDQ DX, AX
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  tail
-done:
-	MOVQ AX, ret+48(FP)
-	RET
-
-// func andNotAnyAVX2(a, b []uint64) bool
-TEXT ·andNotAnyAVX2(SB), NOSPLIT, $0-49
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   tailsetup
-loop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (DI), Y1
-	ADDQ $32, SI
-	ADDQ $32, DI
-	VPANDN Y0, Y1, Y0             // a &^ b
-	VPTEST Y0, Y0
-	JNZ  foundavx
-	DECQ DX
-	JNZ  loop
-	VZEROUPPER
-tailsetup:
-	ANDQ $3, CX
-	JZ   none
-tail:
-	MOVQ (DI), DX
-	NOTQ DX
-	ANDQ (SI), DX
-	JNZ  found
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  tail
-none:
-	MOVB $0, ret+48(FP)
-	RET
-foundavx:
-	VZEROUPPER
-found:
-	MOVB $1, ret+48(FP)
 	RET
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -16,26 +16,10 @@ func popcountWords(w []uint64) int {
 	return popcountWordsGo(w)
 }
 
-//gicnet:hotpath
-func countAndNot(a, b []uint64) int {
-	if len(a) >= 2 {
-		return countAndNotNEON(a, b)
-	}
-	return countAndNotGo(a, b)
-}
-
-//gicnet:hotpath
-func andNotAny(a, b []uint64) bool {
-	return andNotAnyGo(a, b)
-}
-
 func cpuFeatures() string { return "neon" }
 
-// Assembly-backed declarations (kernels_arm64.s). Odd trailing words fall
-// through to a scalar tail inside the routines.
+// Assembly-backed declaration (kernels_arm64.s). An odd trailing word
+// falls through to a scalar tail inside the routine.
 
 //go:noescape
 func popcountWordsNEON(w []uint64) int
-
-//go:noescape
-func countAndNotNEON(a, b []uint64) int

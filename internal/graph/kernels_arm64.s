@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// NEON bitset kernels. VCNT counts set bits per byte across a 128-bit
+// NEON bitset popcount. VCNT counts set bits per byte across a 128-bit
 // vector and VUADDLV folds the sixteen byte counts into one scalar — the
 // same core used by the runtime's internal/bytealg byte counter. Each
 // vector step consumes 2 words; an odd trailing word goes through the
@@ -33,37 +33,4 @@ tail:
 	ADD     R4, R2
 done:
 	MOVD R2, ret+24(FP)
-	RET
-
-// func countAndNotNEON(a, b []uint64) int
-TEXT ·countAndNotNEON(SB), NOSPLIT, $0-56
-	MOVD a_base+0(FP), R0
-	MOVD a_len+8(FP), R1
-	MOVD b_base+24(FP), R5
-	MOVD ZR, R2
-	LSR  $1, R1, R3
-	CBZ  R3, tail
-loop:
-	VLD1.P  16(R0), [V0.B16]
-	VLD1.P  16(R5), [V1.B16]
-	VEOR    V1.B16, V0.B16, V1.B16  // a ^ b
-	VAND    V1.B16, V0.B16, V0.B16  // a & (a^b) == a &^ b
-	VCNT    V0.B16, V0.B16
-	VUADDLV V0.B16, V2
-	VMOV    V2.D[0], R4
-	ADD     R4, R2
-	SUB     $1, R3
-	CBNZ    R3, loop
-tail:
-	TBZ  $0, R1, done
-	MOVD (R0), R4
-	MOVD (R5), R6
-	BIC  R6, R4, R4
-	VMOV R4, V0.D[0]
-	VCNT    V0.B8, V0.B8
-	VUADDLV V0.B8, V2
-	VMOV    V2.D[0], R4
-	ADD     R4, R2
-done:
-	MOVD R2, ret+48(FP)
 	RET

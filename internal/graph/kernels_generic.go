@@ -2,19 +2,13 @@
 
 package graph
 
-// Pure-Go kernel selection: the unrolled reference loops from kernels.go
-// are the implementation. This file is chosen on every GOARCH without a
+// Pure-Go kernel selection: the unrolled reference loop from kernels.go
+// is the implementation. This file is chosen on every GOARCH without a
 // dedicated assembly backend and on any build carrying the `purego` escape
 // tag, which exists so the whole engine can be built and differentially
 // tested with zero assembly in play (`go test -tags purego ./...`).
 
 //gicnet:hotpath
 func popcountWords(w []uint64) int { return popcountWordsGo(w) }
-
-//gicnet:hotpath
-func countAndNot(a, b []uint64) int { return countAndNotGo(a, b) }
-
-//gicnet:hotpath
-func andNotAny(a, b []uint64) bool { return andNotAnyGo(a, b) }
 
 func cpuFeatures() string { return "generic" }

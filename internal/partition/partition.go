@@ -438,28 +438,3 @@ func nodesOf(net *topology.Network, target string) []int {
 	}
 	return net.NodesOfCountry(target)
 }
-
-// Compare runs MeanFragmentation before and after adding the candidates,
-// returning (before, after). Used by the topology-design ablation.
-func Compare(ctx context.Context, w *dataset.World, m failure.Model, spacingKm float64, trials int, seed uint64, cands []Candidate) (before, after *Fragmentation, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	net := w.Submarine
-	before, err = MeanFragmentation(net, m, spacingKm, trials, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	augmented := net
-	for _, c := range cands {
-		augmented, err = withCandidate(augmented, c)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	after, err = MeanFragmentation(augmented, m, spacingKm, trials, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return before, after, nil
-}

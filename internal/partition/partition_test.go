@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"context"
 	"testing"
 
 	"gicnet/internal/dataset"
@@ -131,7 +130,17 @@ func TestCompareAugmentationHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, after, err := Compare(context.Background(), w, failure.S1(), 150, 12, 9, cands)
+	before, err := MeanFragmentation(w.Submarine, failure.S1(), 150, 12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	augmented := w.Submarine
+	for _, c := range cands {
+		if augmented, err = withCandidate(augmented, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := MeanFragmentation(augmented, failure.S1(), 150, 12, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"gicnet/internal/failure"
 	"gicnet/internal/geo"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
@@ -37,6 +38,9 @@ func FaultsFrom(net *topology.Network, cableDead []bool, spacingKm, severity flo
 	}
 	if severity <= 0 || severity > 1 {
 		return nil, errors.New("recovery: severity must be in (0,1]")
+	}
+	if err := failure.CheckSpacing(spacingKm); err != nil {
+		return nil, err
 	}
 	var out []Fault
 	for ci, dead := range cableDead {
@@ -179,7 +183,6 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 
 		// Choose the fault with the best value rate for this ship.
 		bestIdx, bestRate, bestDone := -1, -1.0, 0.0
-		var bestRestored int
 		for fi, f := range pending {
 			transit := geo.Haversine(ship.pos, f.Location) / ship.ship.SpeedKmPerDay
 			repair := opts.BaseDays + opts.DaysPerRepeater*float64(f.DamagedRepeaters)
@@ -193,7 +196,7 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 			dead[f.Cable] = true
 			rate := (float64(restored) + 0.1) / (transit + repair)
 			if rate > bestRate {
-				bestRate, bestIdx, bestDone, bestRestored = rate, fi, done, restored
+				bestRate, bestIdx, bestDone = rate, fi, done
 			}
 		}
 		f := pending[bestIdx]
@@ -203,7 +206,6 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 		// assume earlier-scheduled work completes).
 		dead[f.Cable] = false
 		baselineUnreachable = len(net.UnreachableNodes(dead))
-		_ = bestRestored
 		sched.Events = append(sched.Events, Event{
 			Ship:  ship.ship.Name,
 			Cable: net.Cables[f.Cable].Name,
@@ -256,33 +258,6 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 		}
 	}
 	return sched, nil
-}
-
-// RestorationCurve samples restored-connectivity fraction at the given
-// day marks from the schedule's events.
-func (s *Schedule) RestorationCurve(net *topology.Network, faults []Fault, days []float64) []float64 {
-	dead := make([]bool, len(net.Cables))
-	for _, f := range faults {
-		dead[f.Cable] = true
-	}
-	total := net.ConnectedNodeCount()
-	repairDay := map[string]float64{}
-	for _, e := range s.Events {
-		repairDay[e.Cable] = e.Done
-	}
-	out := make([]float64, len(days))
-	for di, day := range days {
-		cur := make([]bool, len(dead))
-		copy(cur, dead)
-		for ci := range net.Cables {
-			if cur[ci] && repairDay[net.Cables[ci].Name] <= day {
-				cur[ci] = false
-			}
-		}
-		unreachable := len(net.UnreachableNodes(cur))
-		out[di] = float64(total-unreachable) / float64(total)
-	}
-	return out
 }
 
 // MonthsToRestore converts a day count to months (30-day months), the

@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"math"
 	"testing"
 
 	"gicnet/internal/dataset"
@@ -43,6 +42,11 @@ func TestFaultsFromValidation(t *testing.T) {
 	}
 	if _, err := FaultsFrom(net, dead, 150, 1.5, rng); err == nil {
 		t.Error("want severity error")
+	}
+	// A tiny spacing saturates the repeater count; the per-repeater loop
+	// must refuse it rather than spin.
+	if _, err := FaultsFrom(net, dead, 1e-20, 0.1, rng); err != failure.ErrBadSpacing {
+		t.Errorf("spacing 1e-20: err = %v, want failure.ErrBadSpacing", err)
 	}
 }
 
@@ -139,24 +143,34 @@ func TestBiggerFleetFinishesFaster(t *testing.T) {
 	}
 }
 
+// TestRestorationCurveMonotone walks the schedule's repairs in completion
+// order: restored connectivity starts short of full, never falls, and is
+// complete once the last repair lands.
 func TestRestorationCurveMonotone(t *testing.T) {
 	net, faults, _ := stormDamage(t)
 	sched, err := PlanRecovery(net, faults, DefaultFleet(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	days := []float64{0, 10, 30, 60, 120, 240, 480, sched.MakespanDays}
-	curve := sched.RestorationCurve(net, faults, days)
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1]-1e-9 {
-			t.Fatalf("restoration curve not monotone at %v days", days[i])
-		}
+	dead := make([]bool, len(net.Cables))
+	for _, f := range faults {
+		dead[f.Cable] = true
 	}
-	if math.Abs(curve[len(curve)-1]-1) > 1e-9 {
-		t.Errorf("restoration at makespan = %v, want 1", curve[len(curve)-1])
-	}
-	if curve[0] >= 1 {
+	total := net.ConnectedNodeCount()
+	restored := total - len(net.UnreachableNodes(dead))
+	if restored >= total {
 		t.Error("restoration complete at day 0 despite faults")
+	}
+	prev := 0.0
+	for _, e := range sched.Events {
+		if e.Done < prev || e.NodesRestored < 0 {
+			t.Fatalf("restoration curve not monotone at %v days", e.Done)
+		}
+		prev = e.Done
+		restored += e.NodesRestored
+	}
+	if restored != total {
+		t.Errorf("restoration at makespan = %d of %d nodes, want all", restored, total)
 	}
 }
 

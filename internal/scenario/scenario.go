@@ -93,8 +93,8 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 	if w == nil {
 		return nil, errors.New("scenario: nil world")
 	}
-	if cfg.SpacingKm <= 0 {
-		return nil, failure.ErrBadSpacing
+	if err := failure.CheckSpacing(cfg.SpacingKm); err != nil {
+		return nil, err
 	}
 	if cfg.FaultSeverity <= 0 || cfg.FaultSeverity > 1 {
 		return nil, errors.New("scenario: fault severity must be in (0,1]")

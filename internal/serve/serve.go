@@ -23,6 +23,7 @@ import (
 
 	"gicnet/internal/crosslayer"
 	"gicnet/internal/dataset"
+	"gicnet/internal/failure"
 	"gicnet/internal/rare"
 	"gicnet/internal/routing"
 	"gicnet/internal/sim"
@@ -369,8 +370,8 @@ func (srv *Server) normalize(req Request) (Request, resultKey, error) {
 	if req.SpacingKm == 0 {
 		req.SpacingKm = 100
 	}
-	if math.IsNaN(req.SpacingKm) || req.SpacingKm <= 0 || math.IsInf(req.SpacingKm, 0) {
-		return req, key, fmt.Errorf("serve: spacing %v must be positive and finite", req.SpacingKm)
+	if err := failure.CheckSpacing(req.SpacingKm); err != nil {
+		return req, key, fmt.Errorf("serve: spacing %v: %w", req.SpacingKm, err)
 	}
 	if req.Trials == 0 {
 		req.Trials = 1024

@@ -2,6 +2,8 @@ package serve_test
 
 import (
 	"context"
+	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -341,6 +343,22 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Shards[0].Requests != 0 {
 		t.Fatalf("rejected requests reached a shard: %d", st.Shards[0].Requests)
+	}
+}
+
+// TestRequestRefusesTinySpacing pins the repeater-count overflow fix at
+// the service edge: a spacing far below the 1 km floor used to overflow
+// the repeater count and serve a wrong, cached answer.
+func TestRequestRefusesTinySpacing(t *testing.T) {
+	srv := newServer(t, serve.Config{Shards: 1, WorkersPerShard: 1})
+	for _, spacing := range []float64{1e-20, 0.5, math.NaN(), math.Inf(1)} {
+		_, err := srv.Do(context.Background(), serve.Request{Model: "s1", SpacingKm: spacing, Trials: 64})
+		if !errors.Is(err, failure.ErrBadSpacing) {
+			t.Fatalf("spacing %v: err = %v, want failure.ErrBadSpacing", spacing, err)
+		}
+	}
+	if st := srv.Stats(); st.Shards[0].Requests != 0 {
+		t.Fatalf("refused requests reached a shard: %d", st.Shards[0].Requests)
 	}
 }
 

@@ -116,8 +116,8 @@ func PlanShutdown(net *topology.Network, s gic.Storm, opts Options) (*Plan, erro
 	if net == nil {
 		return nil, errors.New("shutdown: nil network")
 	}
-	if opts.SpacingKm <= 0 {
-		return nil, failure.ErrBadSpacing
+	if err := failure.CheckSpacing(opts.SpacingKm); err != nil {
+		return nil, err
 	}
 	if opts.PowerOffDerate <= 0 || opts.PowerOffDerate > 1 {
 		return nil, errors.New("shutdown: derate must be in (0, 1]")

@@ -85,8 +85,8 @@ func (c Config) Validate() error {
 	if c.Model == nil {
 		return errors.New("sim: nil model")
 	}
-	if c.SpacingKm <= 0 {
-		return failure.ErrBadSpacing
+	if err := failure.CheckSpacing(c.SpacingKm); err != nil {
+		return err
 	}
 	if c.Trials <= 0 {
 		return errors.New("sim: trials must be positive")

@@ -63,12 +63,17 @@ func (c *Cable) LengthKm() float64 {
 
 // RepeaterCount returns the number of repeaters at the given inter-repeater
 // spacing: one per full spacing interval. Cables shorter than the spacing
-// need no repeater and are immune to GIC in the paper's model.
+// need no repeater and are immune to GIC in the paper's model. The count
+// saturates at math.MaxInt rather than wrapping when the spacing is tiny.
 func (c *Cable) RepeaterCount(spacingKm float64) int {
-	if spacingKm <= 0 {
+	if !(spacingKm > 0) {
 		return 0
 	}
-	return int(c.LengthKm() / spacingKm)
+	n := c.LengthKm() / spacingKm
+	if n >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(n)
 }
 
 // Network is a named set of nodes and cables.
@@ -282,19 +287,6 @@ func (n *Network) UnreachableNodes(cableDead []bool) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// CountUnreachable is UnreachableNodes without materialising the index
-// slice — the Monte Carlo trial loop only needs the count.
-func (n *Network) CountUnreachable(cableDead []bool) int {
-	start, list := n.CableIncidence()
-	count := 0
-	for i := 0; i < len(n.Nodes); i++ {
-		if !n.nodeAlive(start, list, i, cableDead) {
-			count++
-		}
-	}
-	return count
 }
 
 // nodeAlive reports whether node i has at least one live incident cable.

@@ -344,24 +344,6 @@ func TestCableIncidence(t *testing.T) {
 	}
 }
 
-func TestCountUnreachableMatchesUnreachableNodes(t *testing.T) {
-	n := testNetwork()
-	masks := [][]bool{
-		make([]bool, len(n.Cables)),
-		{true, false, false},
-		{true, true, false},
-		{true, true, true},
-	}
-	for _, dead := range masks {
-		if len(dead) != len(n.Cables) {
-			continue
-		}
-		if got, want := n.CountUnreachable(dead), len(n.UnreachableNodes(dead)); got != want {
-			t.Errorf("dead=%v: CountUnreachable %d, len(UnreachableNodes) %d", dead, got, want)
-		}
-	}
-}
-
 // TestDerivedCachesConcurrentFirstUse drives every lazily-built cache from
 // many goroutines at once; run under -race this verifies the sync.Once
 // guards that parallel sweeps rely on.

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"gicnet/internal/crosslayer"
@@ -174,39 +175,27 @@ func replayCrosslayer(ctx context.Context, w *dataset.World, cfg experiments.Con
 		return fail(name, "compile: %v", err)
 	}
 	base := sim.Config{Model: failure.S1(), SpacingKm: 150, Trials: cfg.Trials, Seed: cfg.Seed, CrossLayer: idx}
-	var want uint64
-	for i, workers := range ReplayWorkerCounts() {
+	want, err := acrossWorkers(true, func(workers int) (uint64, error) {
 		c := base
 		c.Workers = workers
 		res, err := sim.Run(ctx, w.Submarine, c)
 		if err != nil {
-			return fail(name, "workers=%d: %v", workers, err)
+			return 0, err
 		}
 		if len(res.Cross) != c.Trials {
-			return fail(name, "workers=%d: %d scores for %d trials", workers, len(res.Cross), c.Trials)
+			return 0, fmt.Errorf("%d scores for %d trials", len(res.Cross), c.Trials)
 		}
-		fp := res.Fingerprint()
-		if i == 0 {
-			want = fp
-			again, err := sim.Run(ctx, w.Submarine, c)
-			if err != nil {
-				return fail(name, "repeat run: %v", err)
-			}
-			if again.Fingerprint() != fp {
-				return fail(name, "repeated serial run diverged: %016x vs %016x", again.Fingerprint(), fp)
-			}
-			plain := c
-			plain.CrossLayer = nil
-			pr, err := sim.Run(ctx, w.Submarine, plain)
-			if err != nil {
-				return fail(name, "plain run: %v", err)
-			}
-			if pr.Fingerprint() == fp {
-				return fail(name, "scored run shares the plain fingerprint %016x — cross section not hashed", fp)
-			}
-		} else if fp != want {
-			return fail(name, "workers=%d fingerprint %016x != serial %016x", workers, fp, want)
-		}
+		return res.Fingerprint(), nil
+	})
+	if err != nil {
+		return fail(name, "%v", err)
+	}
+	plain := base
+	plain.CrossLayer = nil
+	if fp, err := runFingerprint(ctx, w.Submarine, plain); err != nil {
+		return fail(name, "plain run: %v", err)
+	} else if fp == want {
+		return fail(name, "scored run shares the plain fingerprint %016x — cross section not hashed", fp)
 	}
 	return pass(name, "cross-layer runs byte-identical across workers %v (fingerprint %016x)", ReplayWorkerCounts(), want)
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -97,10 +98,8 @@ func TestDiffValueShapeMismatches(t *testing.T) {
 
 func TestDiffSnapshotsDetectsPerturbation(t *testing.T) {
 	base := &Snapshot{
-		Schema: SchemaVersion,
-		Seed:   1,
-		Trials: 2,
-		Fig5:   map[string]LengthQuantiles{"submarine": {P50: 775, P99: 28000}},
+		Meta:        Meta{Schema: SchemaVersion, Seed: 1, Trials: 2},
+		Experiments: []Section{{ID: "fig5", Value: json.RawMessage(`{"submarine":{"p50":775,"p99":28000}}`)}},
 	}
 	same := *base
 	ms, err := DiffSnapshots(&same, base, DefaultTolerance())
@@ -111,7 +110,7 @@ func TestDiffSnapshotsDetectsPerturbation(t *testing.T) {
 		t.Fatalf("identical snapshots diff: %v", ms)
 	}
 	perturbed := *base
-	perturbed.Fig5 = map[string]LengthQuantiles{"submarine": {P50: 776, P99: 28000}}
+	perturbed.Experiments = []Section{{ID: "fig5", Value: json.RawMessage(`{"submarine":{"p50":776,"p99":28000}}`)}}
 	ms, err = DiffSnapshots(&perturbed, base, DefaultTolerance())
 	if err != nil {
 		t.Fatal(err)

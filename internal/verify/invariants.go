@@ -48,7 +48,7 @@ func Failed(rs []Result) []Result {
 // against a world. The checks are seeded (deterministic) but hold for any
 // seed: a failure is a bug in the model or the engine, never noise.
 func Invariants(w *dataset.World, seed uint64) []Result {
-	return []Result{
+	return append([]Result{
 		checkPlanProbabilities(w),
 		checkIntensityMonotoneAnalytic(w),
 		checkIntensityMonotoneCoupled(w, seed),
@@ -62,7 +62,7 @@ func Invariants(w *dataset.World, seed uint64) []Result {
 		checkCrosslayerMonotone(w, seed),
 		checkCrosslayerStrandedBounds(w, seed),
 		checkCrosslayerBatchParity(w, seed),
-	}
+	}, checkDownstream(w, seed)...)
 }
 
 // invariantModels are the failure models the plan-level checks cover.
@@ -161,10 +161,11 @@ func checkIntensityMonotoneCoupled(w *dataset.World, seed uint64) Result {
 }
 
 // checkRepeaterMonotone verifies that shrinking the inter-repeater spacing
-// (more repeaters per cable) never decreases any cable's death probability.
+// (more repeaters per cable) never decreases any cable's death probability,
+// from the paper's spacings down to the smallest one the model accepts.
 func checkRepeaterMonotone(w *dataset.World) Result {
 	const name = "repeater-monotone"
-	spacings := append([]float64(nil), sim.DefaultSpacings()...)
+	spacings := append([]float64{20, 10, 5, 2, failure.MinSpacingKm}, sim.DefaultSpacings()...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(spacings))) // widest first
 	for _, net := range w.Networks() {
 		for _, m := range invariantModels() {

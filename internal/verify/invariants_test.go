@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"gicnet/internal/dataset"
-	"gicnet/internal/experiments"
 )
 
 func TestInvariantsHoldOnDefaultWorld(t *testing.T) {
 	results := Invariants(testWorld(t), dataset.DefaultSeed)
-	if len(results) != 13 {
-		t.Fatalf("invariant count = %d, want 13", len(results))
+	if len(results) != 16 {
+		t.Fatalf("invariant count = %d, want 16", len(results))
 	}
 	for _, r := range results {
 		if !r.Passed {
@@ -60,8 +59,8 @@ func TestReplayProvesWorkerIndependence(t *testing.T) {
 		cfg.Trials = 2
 	}
 	results := Replay(context.Background(), testWorld(t), cfg)
-	if len(results) != 8 {
-		t.Fatalf("replay check count = %d, want 8", len(results))
+	if len(results) != 7 {
+		t.Fatalf("replay check count = %d, want 7", len(results))
 	}
 	for _, r := range results {
 		if !r.Passed {
@@ -90,20 +89,17 @@ func TestReplayWorkerCounts(t *testing.T) {
 // A snapshot captured at a different trial count must NOT silently pass
 // the golden diff — the meta fields are part of the compared surface.
 func TestDiffCatchesConfigDrift(t *testing.T) {
-	w := testWorld(t)
-	a, err := Capture(context.Background(), w, experiments.Config{Trials: 2, Seed: 5})
+	golden, err := LoadGolden("goldens/reproduce.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Capture(context.Background(), w, experiments.Config{Trials: 3, Seed: 5})
+	drifted := *golden
+	drifted.Trials++
+	ms, err := DiffSnapshots(&drifted, golden, DefaultTolerance())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := DiffSnapshots(a, b, DefaultTolerance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 {
-		t.Fatal("snapshots with different trial counts diffed as equal")
+	if len(ms) != 1 || ms[0].Path != "trials" {
+		t.Fatalf("snapshots with different trial counts diff as %v, want one trials mismatch", ms)
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/experiments"
 	"gicnet/internal/failure"
 	"gicnet/internal/rare"
 	"gicnet/internal/sim"
+	"gicnet/internal/topology"
 )
 
 // ReplayWorkerCounts are the worker counts the replay proof covers: the
@@ -31,16 +33,15 @@ func ReplayWorkerCounts() []int {
 }
 
 // Replay proves the engine's scheduling-independence contract: sim.Run and
-// the Figure 6/7/8 sweeps produce byte-identical results for every worker
-// count and across repeated runs. Each check reports the fingerprints it
-// compared, so a pass documents the evidence and a failure names the
-// worker count that diverged.
+// every registry experiment that takes a worker budget produce
+// byte-identical results for every worker count and across repeated runs.
+// Each check reports the fingerprints it compared, so a pass documents the
+// evidence and a failure names the worker count that diverged.
 func Replay(ctx context.Context, w *dataset.World, cfg experiments.Config) []Result {
 	return []Result{
 		replayRun(ctx, w, cfg),
 		replaySweep(ctx, w, cfg),
-		replayFig67(ctx, w, cfg),
-		replayFig8(ctx, w, cfg),
+		replayRegistry(ctx, w, cfg),
 		replayPinned(ctx, w),
 		replayEstimator(ctx, w, cfg),
 		replayServed(ctx, w),
@@ -62,28 +63,59 @@ const (
 // the historical constants.
 func replayPinned(ctx context.Context, w *dataset.World) Result {
 	const name = "replay-pinned-plain"
-	runCfg := sim.Config{Model: failure.S1(), SpacingKm: 150, Trials: 10, Seed: dataset.DefaultSeed, Workers: 1}
-	res, err := sim.Run(ctx, w.Submarine, runCfg)
+	fp, err := runFingerprint(ctx, w.Submarine, sim.Config{Model: failure.S1(), SpacingKm: 150, Trials: 10, Seed: dataset.DefaultSeed, Workers: 1})
 	if err != nil {
 		return fail(name, "pinned run: %v", err)
 	}
-	if fp := res.Fingerprint(); fp != pinnedRunFingerprint {
+	if fp != pinnedRunFingerprint {
 		return fail(name, "pinned sim.Run fingerprint %016x != historical %016x — plain path no longer bit-identical", fp, pinnedRunFingerprint)
 	}
-	sweepCfg := sim.Config{Model: failure.Uniform{}, SpacingKm: 100, Trials: 10, Seed: dataset.DefaultSeed, Workers: 1}
-	pts, err := sim.SweepUniform(ctx, w.Intertubes, sweepCfg, sim.DefaultProbabilities())
+	fp, err = sweepFingerprint(ctx, w, sim.Config{Model: failure.Uniform{}, SpacingKm: 100, Trials: 10, Seed: dataset.DefaultSeed, Workers: 1})
 	if err != nil {
 		return fail(name, "pinned sweep: %v", err)
 	}
-	h := fnv.New64a()
-	for _, pt := range pts {
-		fmt.Fprintf(h, "%g:%016x|", pt.P, pt.Result.Fingerprint())
-	}
-	if fp := h.Sum64(); fp != pinnedSweepFingerprint {
+	if fp != pinnedSweepFingerprint {
 		return fail(name, "pinned sweep fingerprint %016x != historical %016x — plain path no longer bit-identical", fp, pinnedSweepFingerprint)
 	}
 	return pass(name, "plain engine still bit-identical to pre-estimator pins (%016x, %016x)",
 		pinnedRunFingerprint, pinnedSweepFingerprint)
+}
+
+// acrossWorkers evaluates fp once per replay worker count and returns the
+// serial fingerprint, or an error naming the first worker count that
+// diverged from it. With repeat the serial run is done twice, proving
+// same-seed reproducibility as well.
+func acrossWorkers(repeat bool, fp func(workers int) (uint64, error)) (uint64, error) {
+	var want uint64
+	for i, workers := range ReplayWorkerCounts() {
+		got, err := fp(workers)
+		if err != nil {
+			return 0, fmt.Errorf("workers=%d: %w", workers, err)
+		}
+		switch {
+		case i > 0 && got != want:
+			return 0, fmt.Errorf("workers=%d fingerprint %016x != serial %016x", workers, got, want)
+		case i == 0 && repeat:
+			again, err := fp(workers)
+			if err != nil {
+				return 0, fmt.Errorf("repeat run: %w", err)
+			}
+			if again != got {
+				return 0, fmt.Errorf("repeated serial run diverged: %016x vs %016x", again, got)
+			}
+		}
+		want = got
+	}
+	return want, nil
+}
+
+// runFingerprint is the fingerprint of one sim.Run.
+func runFingerprint(ctx context.Context, net *topology.Network, c sim.Config) (uint64, error) {
+	res, err := sim.Run(ctx, net, c)
+	if err != nil {
+		return 0, err
+	}
+	return res.Fingerprint(), nil
 }
 
 // replayEstimator extends the scheduling-independence proof to the
@@ -92,29 +124,12 @@ func replayPinned(ctx context.Context, w *dataset.World) Result {
 func replayEstimator(ctx context.Context, w *dataset.World, cfg experiments.Config) Result {
 	const name = "replay-estimator"
 	for _, est := range []*rare.Estimator{rare.NewIS(0), rare.NewISQMC(0)} {
-		base := sim.Config{Model: failure.Uniform{P: 1e-5}, SpacingKm: 100, Trials: cfg.Trials,
-			Seed: cfg.Seed, Estimator: est}
-		var want uint64
-		for i, workers := range ReplayWorkerCounts() {
-			c := base
-			c.Workers = workers
-			res, err := sim.Run(ctx, w.Submarine, c)
-			if err != nil {
-				return fail(name, "%s workers=%d: %v", est.EstimatorName(), workers, err)
-			}
-			fp := res.Fingerprint()
-			if i == 0 {
-				want = fp
-				again, err := sim.Run(ctx, w.Submarine, c)
-				if err != nil {
-					return fail(name, "%s repeat run: %v", est.EstimatorName(), err)
-				}
-				if again.Fingerprint() != fp {
-					return fail(name, "%s repeated serial run diverged: %016x vs %016x", est.EstimatorName(), again.Fingerprint(), fp)
-				}
-			} else if fp != want {
-				return fail(name, "%s workers=%d fingerprint %016x != serial %016x", est.EstimatorName(), workers, fp, want)
-			}
+		_, err := acrossWorkers(true, func(workers int) (uint64, error) {
+			return runFingerprint(ctx, w.Submarine, sim.Config{Model: failure.Uniform{P: 1e-5}, SpacingKm: 100,
+				Trials: cfg.Trials, Seed: cfg.Seed, Estimator: est, Workers: workers})
+		})
+		if err != nil {
+			return fail(name, "%s %v", est.EstimatorName(), err)
 		}
 	}
 	return pass(name, "is and is-qmc runs byte-identical across workers %v", ReplayWorkerCounts())
@@ -123,57 +138,41 @@ func replayEstimator(ctx context.Context, w *dataset.World, cfg experiments.Conf
 // replayRun checks sim.Run across worker counts and across repetition.
 func replayRun(ctx context.Context, w *dataset.World, cfg experiments.Config) Result {
 	const name = "replay-sim-run"
-	base := sim.Config{Model: failure.S1(), SpacingKm: 150, Trials: cfg.Trials, Seed: cfg.Seed}
-	var want uint64
-	for i, workers := range ReplayWorkerCounts() {
-		c := base
-		c.Workers = workers
-		res, err := sim.Run(ctx, w.Submarine, c)
-		if err != nil {
-			return fail(name, "workers=%d: %v", workers, err)
-		}
-		fp := res.Fingerprint()
-		if i == 0 {
-			want = fp
-			// Repeat the serial run to prove same-seed reproducibility.
-			again, err := sim.Run(ctx, w.Submarine, c)
-			if err != nil {
-				return fail(name, "repeat run: %v", err)
-			}
-			if again.Fingerprint() != fp {
-				return fail(name, "repeated serial run diverged: %016x vs %016x", again.Fingerprint(), fp)
-			}
-		} else if fp != want {
-			return fail(name, "workers=%d fingerprint %016x != serial %016x", workers, fp, want)
-		}
+	want, err := acrossWorkers(true, func(workers int) (uint64, error) {
+		return runFingerprint(ctx, w.Submarine, sim.Config{Model: failure.S1(), SpacingKm: 150,
+			Trials: cfg.Trials, Seed: cfg.Seed, Workers: workers})
+	})
+	if err != nil {
+		return fail(name, "%v", err)
 	}
 	return pass(name, "sim.Run byte-identical across workers %v (fingerprint %016x)", ReplayWorkerCounts(), want)
+}
+
+// sweepFingerprint hashes the point fingerprints of one SweepUniform.
+func sweepFingerprint(ctx context.Context, w *dataset.World, c sim.Config) (uint64, error) {
+	pts, err := sim.SweepUniform(ctx, w.Intertubes, c, sim.DefaultProbabilities())
+	if err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	for _, pt := range pts {
+		fmt.Fprintf(h, "%g:%016x|", pt.P, pt.Result.Fingerprint())
+	}
+	return h.Sum64(), nil
 }
 
 // replaySweep checks SweepUniform across worker counts.
 func replaySweep(ctx context.Context, w *dataset.World, cfg experiments.Config) Result {
 	const name = "replay-sweep-uniform"
-	ps := sim.DefaultProbabilities()
-	var want uint64
-	for i, workers := range ReplayWorkerCounts() {
-		c := sim.Config{Model: failure.Uniform{}, SpacingKm: 100, Trials: cfg.Trials, Seed: cfg.Seed, Workers: workers}
-		pts, err := sim.SweepUniform(ctx, w.Intertubes, c, ps)
-		if err != nil {
-			return fail(name, "workers=%d: %v", workers, err)
-		}
-		h := fnv.New64a()
-		for _, pt := range pts {
-			fmt.Fprintf(h, "%g:%016x|", pt.P, pt.Result.Fingerprint())
-		}
-		fp := h.Sum64()
-		if i == 0 {
-			want = fp
-		} else if fp != want {
-			return fail(name, "workers=%d sweep fingerprint %016x != serial %016x", workers, fp, want)
-		}
+	want, err := acrossWorkers(false, func(workers int) (uint64, error) {
+		return sweepFingerprint(ctx, w, sim.Config{Model: failure.Uniform{}, SpacingKm: 100,
+			Trials: cfg.Trials, Seed: cfg.Seed, Workers: workers})
+	})
+	if err != nil {
+		return fail(name, "%v", err)
 	}
 	return pass(name, "%d-point sweep byte-identical across workers %v (fingerprint %016x)",
-		len(ps), ReplayWorkerCounts(), want)
+		len(sim.DefaultProbabilities()), ReplayWorkerCounts(), want)
 }
 
 // jsonFingerprint hashes any JSON-encodable value; the encoding is
@@ -186,50 +185,30 @@ func jsonFingerprint(v any) (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// replayFig67 checks the full Figure 6/7 experiment across worker budgets.
-func replayFig67(ctx context.Context, w *dataset.World, cfg experiments.Config) Result {
-	const name = "replay-fig67"
-	var want uint64
-	for i, workers := range ReplayWorkerCounts() {
-		c := cfg
-		c.Workers = workers
-		r, err := experiments.Fig67(ctx, w, c)
+// replayRegistry re-runs every registry experiment that takes a worker
+// budget at each replay worker count: its golden projection must
+// fingerprint identically every time.
+func replayRegistry(ctx context.Context, w *dataset.World, cfg experiments.Config) Result {
+	const name = "replay-registry"
+	var pins []string
+	for _, e := range experiments.Registry() {
+		if !e.Parallel {
+			continue
+		}
+		want, err := acrossWorkers(false, func(workers int) (uint64, error) {
+			c := cfg
+			c.Workers = workers
+			out, err := e.Run(ctx, w, c)
+			if err != nil {
+				return 0, err
+			}
+			return jsonFingerprint(out.Golden())
+		})
 		if err != nil {
-			return fail(name, "workers=%d: %v", workers, err)
+			return fail(name, "%s %v", e.ID, err)
 		}
-		fp, err := jsonFingerprint(r)
-		if err != nil {
-			return fail(name, "fingerprint: %v", err)
-		}
-		if i == 0 {
-			want = fp
-		} else if fp != want {
-			return fail(name, "workers=%d result fingerprint %016x != serial %016x", workers, fp, want)
-		}
+		pins = append(pins, fmt.Sprintf("%s=%016x", e.ID, want))
 	}
-	return pass(name, "Fig 6/7 sweeps byte-identical across workers %v (fingerprint %016x)", ReplayWorkerCounts(), want)
-}
-
-// replayFig8 checks the Figure 8 experiment across worker budgets.
-func replayFig8(ctx context.Context, w *dataset.World, cfg experiments.Config) Result {
-	const name = "replay-fig8"
-	var want uint64
-	for i, workers := range ReplayWorkerCounts() {
-		c := cfg
-		c.Workers = workers
-		r, err := experiments.Fig8(ctx, w, c)
-		if err != nil {
-			return fail(name, "workers=%d: %v", workers, err)
-		}
-		fp, err := jsonFingerprint(r)
-		if err != nil {
-			return fail(name, "fingerprint: %v", err)
-		}
-		if i == 0 {
-			want = fp
-		} else if fp != want {
-			return fail(name, "workers=%d result fingerprint %016x != serial %016x", workers, fp, want)
-		}
-	}
-	return pass(name, "Fig 8 runs byte-identical across workers %v (fingerprint %016x)", ReplayWorkerCounts(), want)
+	return pass(name, "%d experiments byte-identical across workers %v (%s)",
+		len(pins), ReplayWorkerCounts(), strings.Join(pins, ", "))
 }

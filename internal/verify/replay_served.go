@@ -118,12 +118,8 @@ func offlineServed(ctx context.Context, w *dataset.World, req serve.Request) (ui
 	case "qmc":
 		est = rare.NewQMC()
 	}
-	res, err := sim.Run(ctx, net, sim.Config{
+	return runFingerprint(ctx, net, sim.Config{
 		Model: model, SpacingKm: req.SpacingKm,
 		Trials: req.Trials, Seed: req.Seed, Workers: 1, Estimator: est,
 	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Fingerprint(), nil
 }

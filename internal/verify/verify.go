@@ -3,216 +3,135 @@
 // what the engine guarantees. It has three layers:
 //
 //   - Golden-figure regression (Capture + DiffSnapshots + goldens/): a
-//     fixed-seed snapshot of every reproduce output — the Figure 3-8
-//     series, the country connectivity tables, and the dataset calibration
-//     statistics (median 775 km, p99 28000 km, 82-of-441 repeaterless
-//     cables) — diffed against a checked-in golden with explicit
-//     tolerances.
+//     fixed-seed snapshot of the golden projection of every
+//     experiments.Registry entry — the same list cmd/reproduce prints —
+//     plus the dataset calibration statistics, diffed against a
+//     checked-in golden with explicit tolerances.
 //
 //   - Model invariants (Invariants): property and metamorphic checks the
 //     failure model must satisfy regardless of constants — failure
 //     fractions monotone in storm intensity and repeater count,
 //     probabilities in [0,1], connectivity never improved by additional
-//     failures, and union-find/BFS component agreement on random graphs.
+//     failures, union-find/BFS component agreement on random graphs, and
+//     metamorphic relations for grid coupling, routing and repair
+//     scheduling.
 //
-//   - Deterministic replay (Replay): proof that sim.Run and the Figure
-//     6/7/8 sweeps are byte-identical across worker counts and across
-//     repeated runs, which is the contract every parallel refactor of the
-//     engine must preserve.
+//   - Deterministic replay (Replay): proof that sim.Run and every
+//     registry experiment that takes a worker budget are byte-identical
+//     across worker counts and across repeated runs, which is the
+//     contract every parallel refactor of the engine must preserve.
 //
 // cmd/validate runs all three layers end to end; `make validate` is the
 // command-line entry point and `-update` regenerates the goldens.
 package verify
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 
-	"gicnet/internal/asn"
 	"gicnet/internal/dataset"
 	"gicnet/internal/experiments"
-	"gicnet/internal/infra"
 )
 
 // SchemaVersion identifies the snapshot layout; bump it when fields change
 // meaning so stale goldens fail loudly instead of diffing nonsense.
 const SchemaVersion = 1
 
-// Snapshot is the complete golden-regression surface: every number the
-// reproduction derives from the fixed-seed world, in marshal-friendly form.
+// Snapshot is the complete golden-regression surface: the capture
+// configuration, the dataset calibration statistics, and the golden
+// projection of every experiments.Registry entry. It encodes as one flat
+// JSON object: the Meta keys, then one key per experiment ID.
 type Snapshot struct {
+	Meta
+	// Experiments holds each experiment's JSON-encoded golden projection,
+	// in registry order.
+	Experiments []Section
+}
+
+// Meta is the fixed part of a snapshot.
+type Meta struct {
 	Schema int    `json:"schema"`
 	Seed   uint64 `json:"seed"`
 	Trials int    `json:"trials"`
-
+	// Calibration holds the dataset statistics the generator is tuned to
+	// (median 775 km, p99 28000 km, 82-of-441 repeaterless cables).
 	Calibration *dataset.Calibration `json:"calibration"`
-
-	Fig3  *experiments.Fig3Result `json:"fig3"`
-	Fig4a *experiments.Fig4Result `json:"fig4a"`
-	Fig4b *experiments.Fig4Result `json:"fig4b"`
-	// Fig5 holds per-network cable-length quantiles rather than the full
-	// CDFs: the quantiles are what the paper reports and what a human can
-	// review in a golden diff.
-	Fig5  map[string]LengthQuantiles `json:"fig5"`
-	Fig67 *experiments.Fig67Result   `json:"fig67"`
-	Fig8  *experiments.Fig8Result    `json:"fig8"`
-	Fig9  *Fig9Summary               `json:"fig9"`
-
-	// Country maps state ("S1"/"S2") to the per-case connectivity rows of
-	// the §4.3.4 analysis.
-	Country map[string][]CountrySummary `json:"country"`
-	Systems []SystemSummary             `json:"systems"`
-
-	// Crosslayer is the cable->AS cross-layer impact sweep: severed AS
-	// pairs and stranded users per failure level.
-	Crosslayer *experiments.CrossLayerResult `json:"crosslayer"`
 }
 
-// LengthQuantiles are the golden quantiles of one cable-length CDF.
-type LengthQuantiles struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P99 float64 `json:"p99"`
-	Max float64 `json:"max"`
+// Section is one experiment's golden projection.
+type Section struct {
+	ID    string
+	Value json.RawMessage
 }
 
-// Fig9Summary is the marshal-friendly projection of asn.Summary.
-type Fig9Summary struct {
-	Thresholds      []float64 `json:"thresholds"`
-	ReachFrac       []float64 `json:"reach_frac"`
-	ReachAbove40    float64   `json:"reach_above_40"`
-	MedianSpreadDeg float64   `json:"median_spread_deg"`
-	P90SpreadDeg    float64   `json:"p90_spread_deg"`
-	DirectASes      int       `json:"direct_ases"`
-	IndirectASes    int       `json:"indirect_ases"`
-	LowASes         int       `json:"low_ases"`
+// MarshalJSON writes the Meta keys followed by one key per section.
+func (s *Snapshot) MarshalJSON() ([]byte, error) {
+	b, err := json.Marshal(s.Meta)
+	if err != nil {
+		return nil, err
+	}
+	b = b[:len(b)-1] // reopen the object for the sections
+	for _, sec := range s.Experiments {
+		key, err := json.Marshal(sec.ID)
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(append(append(b, ','), key...), ':'), sec.Value...)
+	}
+	return append(b, '}'), nil
 }
 
-// PartnerSummary is one target-partner connectivity estimate.
-type PartnerSummary struct {
-	To           string  `json:"to"`
-	SurvivalProb float64 `json:"survival_prob"`
-	Trials       int     `json:"trials"`
+// UnmarshalJSON reads the Meta keys and keeps every other key as a
+// section, in file order.
+func (s *Snapshot) UnmarshalJSON(b []byte) error {
+	*s = Snapshot{}
+	if err := json.Unmarshal(b, &s.Meta); err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if _, err := dec.Token(); err != nil {
+		return err
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			return err
+		}
+		switch key {
+		case "schema", "seed", "trials", "calibration":
+		default:
+			s.Experiments = append(s.Experiments, Section{ID: key.(string), Value: raw})
+		}
+	}
+	return nil
 }
 
-// CountrySummary is one row of the country-scale connectivity analysis.
-type CountrySummary struct {
-	Target            string           `json:"target"`
-	Cables            int              `json:"cables"`
-	ExpectedSurvivors float64          `json:"expected_survivors"`
-	IsolationProb     float64          `json:"isolation_prob"`
-	Partners          []PartnerSummary `json:"partners"`
-}
-
-// SystemSummary is one row of the §4.4 systems resilience table.
-type SystemSummary struct {
-	Name          string  `json:"name"`
-	Count         int     `json:"count"`
-	FracAbove40   float64 `json:"frac_above_40"`
-	SouthernShare float64 `json:"southern_share"`
-	Regions       int     `json:"regions"`
-	Resilience    float64 `json:"resilience"`
-}
-
-// Capture runs every reproduce experiment against the world and collects
-// the results into a snapshot. With a fixed cfg.Seed the output is
-// deterministic whatever cfg.Workers is — that is exactly what the Replay
-// layer proves.
+// Capture runs every registry experiment against the world and collects
+// their golden projections into a snapshot. With a fixed cfg.Seed the
+// output is deterministic whatever cfg.Workers is — that is exactly what
+// the Replay layer proves.
 func Capture(ctx context.Context, w *dataset.World, cfg experiments.Config) (*Snapshot, error) {
-	s := &Snapshot{Schema: SchemaVersion, Seed: cfg.Seed, Trials: cfg.Trials}
-
-	var err error
-	if s.Calibration, err = dataset.CalibrationStats(w); err != nil {
+	cal, err := dataset.CalibrationStats(w)
+	if err != nil {
 		return nil, fmt.Errorf("verify: calibration: %w", err)
 	}
-	if s.Fig3, err = experiments.Fig3(w); err != nil {
-		return nil, fmt.Errorf("verify: fig3: %w", err)
-	}
-	if s.Fig4a, err = experiments.Fig4a(w); err != nil {
-		return nil, fmt.Errorf("verify: fig4a: %w", err)
-	}
-	if s.Fig4b, err = experiments.Fig4b(w); err != nil {
-		return nil, fmt.Errorf("verify: fig4b: %w", err)
-	}
-	fig5, err := experiments.Fig5(w)
-	if err != nil {
-		return nil, fmt.Errorf("verify: fig5: %w", err)
-	}
-	s.Fig5 = map[string]LengthQuantiles{}
-	for name := range fig5.CDFs {
-		q := func(p float64) float64 {
-			v, _ := fig5.Quantile(name, p)
-			return v
+	s := &Snapshot{Meta: Meta{Schema: SchemaVersion, Seed: cfg.Seed, Trials: cfg.Trials, Calibration: cal}}
+	for _, e := range experiments.Registry() {
+		out, err := e.Run(ctx, w, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("verify: %s: %w", e.ID, err)
 		}
-		s.Fig5[name] = LengthQuantiles{P50: q(0.5), P90: q(0.9), P99: q(0.99), Max: q(1)}
-	}
-	if s.Fig67, err = experiments.Fig67(ctx, w, cfg); err != nil {
-		return nil, fmt.Errorf("verify: fig67: %w", err)
-	}
-	if s.Fig8, err = experiments.Fig8(ctx, w, cfg); err != nil {
-		return nil, fmt.Errorf("verify: fig8: %w", err)
-	}
-	fig9, err := experiments.Fig9(w)
-	if err != nil {
-		return nil, fmt.Errorf("verify: fig9: %w", err)
-	}
-	s.Fig9 = summariseFig9(fig9.Summary)
-
-	country, err := experiments.Countries(ctx, w, cfg, experiments.DefaultCountryCases())
-	if err != nil {
-		return nil, fmt.Errorf("verify: country: %w", err)
-	}
-	s.Country = map[string][]CountrySummary{}
-	for state, reports := range country.Reports {
-		for _, rep := range reports {
-			cs := CountrySummary{
-				Target:            string(rep.Target),
-				Cables:            len(rep.Cables),
-				ExpectedSurvivors: rep.ExpectedSurvivors,
-				IsolationProb:     rep.IsolationProb,
-			}
-			for _, p := range rep.Partners {
-				cs.Partners = append(cs.Partners, PartnerSummary{
-					To: string(p.To), SurvivalProb: p.SurvivalProb, Trials: p.Trials,
-				})
-			}
-			s.Country[state] = append(s.Country[state], cs)
+		raw, err := json.Marshal(out.Golden())
+		if err != nil {
+			return nil, fmt.Errorf("verify: %s golden: %w", e.ID, err)
 		}
-	}
-
-	if s.Crosslayer, err = experiments.CrossLayer(ctx, w, cfg); err != nil {
-		return nil, fmt.Errorf("verify: crosslayer: %w", err)
-	}
-
-	systems, err := experiments.Systems(w)
-	if err != nil {
-		return nil, fmt.Errorf("verify: systems: %w", err)
-	}
-	for _, d := range []*infra.Distribution{
-		systems.Infra.DNS, systems.Infra.Google, systems.Infra.Facebook,
-		systems.Infra.IXPs, systems.Infra.Routers,
-	} {
-		s.Systems = append(s.Systems, SystemSummary{
-			Name:          d.Name,
-			Count:         d.Count,
-			FracAbove40:   d.FracAbove40,
-			SouthernShare: d.SouthernShare,
-			Regions:       len(d.Regions),
-			Resilience:    d.ResilienceScore(),
-		})
+		s.Experiments = append(s.Experiments, Section{ID: e.ID, Value: raw})
 	}
 	return s, nil
-}
-
-func summariseFig9(sum *asn.Summary) *Fig9Summary {
-	return &Fig9Summary{
-		Thresholds:      sum.Thresholds,
-		ReachFrac:       sum.ReachFrac,
-		ReachAbove40:    sum.ReachAbove40,
-		MedianSpreadDeg: sum.MedianSpreadDeg,
-		P90SpreadDeg:    sum.P90SpreadDeg,
-		DirectASes:      sum.ByExposure[asn.ExposureDirect],
-		IndirectASes:    sum.ByExposure[asn.ExposureIndirect],
-		LowASes:         sum.ByExposure[asn.ExposureLow],
-	}
 }
