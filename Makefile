@@ -72,9 +72,9 @@ update-golden:
 	$(GO) run ./cmd/validate -update
 
 # Short fuzz runs over the network-JSON parser, the failure-plan compiler,
-# the core-contraction connectivity engine, and the bitset kernel
-# primitives (assembly vs reference semantics); each also replays its
-# checked-in seed corpus.
+# the core-contraction connectivity engine, the bitset kernel primitives
+# (assembly vs reference semantics) and the repair scheduler (against its
+# rescan reference); each also replays its checked-in seed corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNetworkJSON$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompile$$' -fuzztime $(FUZZTIME) ./internal/failure
@@ -84,10 +84,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsetKernels$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzCableASAdjacency$$' -fuzztime $(FUZZTIME) ./internal/crosslayer
 	$(GO) test -run '^$$' -fuzz '^FuzzAnnotationComments$$' -fuzztime $(FUZZTIME) ./internal/lint
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanRecovery$$' -fuzztime $(FUZZTIME) ./internal/recovery
 
-# Quick hot-path benchmarks with allocation counts.
+# Quick hot-path benchmarks with allocation counts: the trial engine and
+# the storm path (integrated timeline, repair scheduling, bridge picks,
+# traffic routing).
 bench:
-	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|BitsetEvaluate|BitsetKernels|Crosslayer' -benchmem .
+	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|BitsetEvaluate|BitsetKernels|Crosslayer|FullScenario|RecoveryPlanning|TopologyAugmentation|TrafficRouting' -benchmem .
 
 # Dated JSON snapshot of the full benchmark suite (see cmd/benchdiff).
 bench-snapshot:

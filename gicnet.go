@@ -226,6 +226,12 @@ func AnalyzeSystems(w *World) (*InfraReport, error) { return infra.BuildReport(w
 
 // RecommendBridges proposes low-latitude cables that improve probeA-probeB
 // survivability under the model (§5.1).
+//
+// Candidates are pre-ranked by pricing each one on a network holding only
+// the candidate cable and its four nodes, so the model must price a cable
+// from that cable's own segments and nodes. Every model of this package
+// does; a custom model that reads other cables, or the cable's index,
+// would rank the candidates differently.
 func RecommendBridges(w *World, m FailureModel, spacingKm float64, trials int, seed uint64, n int, probeA, probeB string) ([]BridgeCandidate, error) {
 	return partition.Recommend(w, m, spacingKm, trials, seed, n, probeA, probeB)
 }
@@ -256,6 +262,9 @@ func SampleFaults(net *Network, cableDead []bool, spacingKm, severity float64, s
 }
 
 // PlanRecovery schedules the cable-ship fleet over the faults (§3.2.2).
+// Each fault must name its own cable. A malformed network, a NaN or
+// infinite ship speed, an invalid ship position or fault location and a
+// negative repeater count are refused with an error.
 func PlanRecovery(net *Network, faults []RepairFault, fleet []RepairShip) (*RepairSchedule, error) {
 	return recovery.PlanRecovery(net, faults, fleet, recovery.DefaultOptions())
 }

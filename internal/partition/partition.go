@@ -202,8 +202,16 @@ type Candidate struct {
 // Recommend proposes up to n new cables between anchor pairs, favouring
 // low-latitude routes (both endpoints below the mid-band cut) that bridge
 // different regions, ranked by the connectivity benefit they add between
-// the two probe targets under the model. It mutates nothing: each
-// candidate is evaluated on a copy of the network.
+// the two probe targets under the model. It mutates nothing.
+//
+// Every candidate is priced analytically for the pre-rank, and only the
+// top 4n are simulated, each on a copy of the network with the candidate
+// appended. The pre-rank prices a candidate on a network holding just the
+// candidate cable and its four nodes, which gives the same price as the
+// augmented copy because a model prices a cable from that cable's own
+// segments and nodes. Every model in this module does; a failure.Func
+// that reads other cables, or the cable's index, does not, and would rank
+// the candidates differently.
 func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int, seed uint64, n int, probeA, probeB string) ([]Candidate, error) {
 	if n <= 0 {
 		return nil, errors.New("partition: need n > 0")
@@ -213,58 +221,10 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 	if err != nil {
 		return nil, err
 	}
-
-	var cands []Candidate
-	for _, from := range dataset.Anchors() {
-		if from.Coord.AbsLat() >= geo.MidBandCut {
-			continue
-		}
-		for _, to := range dataset.Anchors() {
-			if to.Name <= from.Name || to.Coord.AbsLat() >= geo.MidBandCut {
-				continue
-			}
-			if geo.RegionOf(from.Coord) == geo.RegionOf(to.Coord) {
-				continue // bridges must cross regions
-			}
-			d := geo.Haversine(from.Coord, to.Coord) * 1.2
-			if d < 3000 || d > 12000 {
-				continue // too short to matter / too long to survive
-			}
-			cands = append(cands, Candidate{
-				From: from.Name, To: to.Name, LengthKm: d,
-				MaxAbsLat: maxf(from.Coord.AbsLat(), to.Coord.AbsLat()),
-			})
-		}
+	cands, err := rankCandidates(net, m, spacingKm, probeA, probeB)
+	if err != nil {
+		return nil, err
 	}
-	// Pre-rank by analytic survival x probe relevance, then evaluate the
-	// top slice by simulation (evaluating all ~1000 candidates would be
-	// wasteful). Relevance: a bridge can only help the probe pair if its
-	// landings sit near the probes' nodes — one end near each side.
-	probeACoords := coordsOf(net, nodesOf(net, probeA))
-	probeBCoords := coordsOf(net, nodesOf(net, probeB))
-	prelim := make([]float64, len(cands))
-	for i := range cands {
-		p, err := hypotheticalDeathProb(net, m, spacingKm, cands[i])
-		if err != nil {
-			return nil, err
-		}
-		cands[i].SurvivalProb = 1 - p
-		fromA, okA := dataset.AnchorByName(cands[i].From)
-		toA, _ := dataset.AnchorByName(cands[i].To)
-		if !okA {
-			continue
-		}
-		// Best assignment of the two endpoints to the two probe sides.
-		d1 := minDist(fromA.Coord, probeACoords) + minDist(toA.Coord, probeBCoords)
-		d2 := minDist(fromA.Coord, probeBCoords) + minDist(toA.Coord, probeACoords)
-		d := d1
-		if d2 < d {
-			d = d2
-		}
-		relevance := 1 / (1 + d/4000)
-		prelim[i] = cands[i].SurvivalProb * relevance
-	}
-	sort.Sort(&byScore{cands, prelim})
 	limit := 4 * n
 	if limit > len(cands) {
 		limit = len(cands)
@@ -286,6 +246,79 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 		evaluated = evaluated[:n]
 	}
 	return evaluated, nil
+}
+
+// rankCandidates lists every bridge candidate with its survival
+// probability, sorted by the analytic pre-rank: survival times probe
+// relevance. A bridge can only help the probe pair if its landings sit
+// near the probes' nodes — one end near each side.
+func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, probeA, probeB string) ([]Candidate, error) {
+	anchors := dataset.Anchors()
+	probeACoords := coordsOf(net, nodesOf(net, probeA))
+	probeBCoords := coordsOf(net, nodesOf(net, probeB))
+	// Each low-latitude anchor's landing node, backhaul node and distance
+	// to each probe side, shared by every candidate that lands there.
+	type end struct {
+		landing  topology.Node
+		backhaul int
+		toA, toB float64
+	}
+	ends := make([]end, len(anchors))
+	for i, a := range anchors {
+		if a.Coord.AbsLat() >= geo.MidBandCut {
+			continue
+		}
+		backhaul := nearestOfCountry(net, a)
+		if backhaul < 0 {
+			return nil, fmt.Errorf("partition: no node with coordinates to tie anchor %q into", a.Name)
+		}
+		ends[i] = end{landing(a), backhaul, minDist(a.Coord, probeACoords), minDist(a.Coord, probeBCoords)}
+	}
+
+	var cands []Candidate
+	var prelim []float64
+	for i, from := range anchors {
+		if from.Coord.AbsLat() >= geo.MidBandCut {
+			continue
+		}
+		for j, to := range anchors {
+			if to.Name <= from.Name || to.Coord.AbsLat() >= geo.MidBandCut {
+				continue
+			}
+			if geo.RegionOf(from.Coord) == geo.RegionOf(to.Coord) {
+				continue // bridges must cross regions
+			}
+			d := geo.Haversine(from.Coord, to.Coord) * 1.2
+			if d < 3000 || d > 12000 {
+				continue // too short to matter / too long to survive
+			}
+			c := Candidate{
+				From: from.Name, To: to.Name, LengthKm: d,
+				MaxAbsLat: maxf(from.Coord.AbsLat(), to.Coord.AbsLat()),
+			}
+			a, b := &ends[i], &ends[j]
+			alone := &topology.Network{
+				Name:   net.Name + "+candidate",
+				Nodes:  []topology.Node{a.landing, b.landing, net.Nodes[a.backhaul], net.Nodes[b.backhaul]},
+				Cables: []topology.Cable{candidateCable(c, 0, 1, 2, 3)},
+			}
+			p, err := failure.CableDeathProb(alone, m, spacingKm, 0)
+			if err != nil {
+				return nil, err
+			}
+			c.SurvivalProb = 1 - p
+			// Best assignment of the two endpoints to the two probe sides.
+			dist := a.toA + b.toB
+			if d2 := a.toB + b.toA; d2 < dist {
+				dist = d2
+			}
+			relevance := 1 / (1 + dist/4000)
+			cands = append(cands, c)
+			prelim = append(prelim, c.SurvivalProb*relevance)
+		}
+	}
+	sort.Sort(&byScore{cands, prelim})
+	return cands, nil
 }
 
 // byScore sorts candidates and their scores together, descending.
@@ -331,17 +364,6 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// hypotheticalDeathProb computes the death probability a candidate cable
-// would have: its repeaters take the model's probability for a synthetic
-// cable whose highest endpoint is the candidate's.
-func hypotheticalDeathProb(net *topology.Network, m failure.Model, spacingKm float64, c Candidate) (float64, error) {
-	tmp, err := withCandidate(net, c)
-	if err != nil {
-		return 0, err
-	}
-	return failure.CableDeathProb(tmp, m, spacingKm, len(tmp.Cables)-1)
-}
-
 // withCandidate returns a copy of net with the candidate cable appended.
 func withCandidate(net *topology.Network, c Candidate) (*topology.Network, error) {
 	fromA, okA := dataset.AnchorByName(c.From)
@@ -352,26 +374,30 @@ func withCandidate(net *topology.Network, c Candidate) (*topology.Network, error
 	cp := &topology.Network{Name: net.Name + "+candidate"}
 	cp.Nodes = append(cp.Nodes, net.Nodes...)
 	cp.Cables = append(cp.Cables, net.Cables...)
-	a := len(cp.Nodes)
-	cp.Nodes = append(cp.Nodes, topology.Node{
-		Name: "cand-" + c.From, Coord: fromA.Coord, HasCoord: true, Country: fromA.Country,
-	})
-	b := len(cp.Nodes)
-	cp.Nodes = append(cp.Nodes, topology.Node{
-		Name: "cand-" + c.To, Coord: toA.Coord, HasCoord: true, Country: toA.Country,
-	})
-	// Tie the new landing stations into the existing network with short
-	// backhaul segments to the nearest existing node of the same country.
-	cp.Cables = append(cp.Cables, topology.Cable{
+	a, b := len(cp.Nodes), len(cp.Nodes)+1
+	cp.Nodes = append(cp.Nodes, landing(fromA), landing(toA))
+	cp.Cables = append(cp.Cables, candidateCable(c, a, b, nearestOfCountry(net, fromA), nearestOfCountry(net, toA)))
+	return cp, nil
+}
+
+// landing is the new landing station a candidate cable adds at an anchor.
+func landing(a dataset.Anchor) topology.Node {
+	return topology.Node{Name: "cand-" + a.Name, Coord: a.Coord, HasCoord: true, Country: a.Country}
+}
+
+// candidateCable is the candidate's cable between landing nodes a and b,
+// tied into the existing network with short backhaul segments to nodes
+// nearA and nearB (the nearest existing node of the same country).
+func candidateCable(c Candidate, a, b, nearA, nearB int) topology.Cable {
+	return topology.Cable{
 		Name: fmt.Sprintf("candidate-%s-%s", c.From, c.To),
 		Segments: []topology.Segment{
 			{A: a, B: b, LengthKm: c.LengthKm},
-			{A: a, B: nearestOfCountry(net, fromA), LengthKm: 50},
-			{A: b, B: nearestOfCountry(net, toA), LengthKm: 50},
+			{A: a, B: nearA, LengthKm: 50},
+			{A: b, B: nearB, LengthKm: 50},
 		},
 		KnownLength: true,
-	})
-	return cp, nil
+	}
 }
 
 // nearestOfCountry finds the nearest existing node in the anchor's

@@ -1,0 +1,182 @@
+package partition
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"gicnet/internal/dataset"
+	"gicnet/internal/failure"
+	"gicnet/internal/geo"
+	"gicnet/internal/gic"
+	"gicnet/internal/topology"
+)
+
+// rankCandidatesFullCopy is the pre-rank as it was before candidates were
+// priced on their own: each candidate is appended to a full copy of the
+// network (hypotheticalDeathProb), and its backhaul nodes and probe
+// distances are searched afresh per candidate. It ranks under several
+// models at once, so one copy per candidate serves all of them.
+func rankCandidatesFullCopy(net *topology.Network, models []failure.Model, spacingKm float64, probeA, probeB string) ([][]Candidate, error) {
+	var cands []Candidate
+	for _, from := range dataset.Anchors() {
+		if from.Coord.AbsLat() >= geo.MidBandCut {
+			continue
+		}
+		for _, to := range dataset.Anchors() {
+			if to.Name <= from.Name || to.Coord.AbsLat() >= geo.MidBandCut {
+				continue
+			}
+			if geo.RegionOf(from.Coord) == geo.RegionOf(to.Coord) {
+				continue
+			}
+			d := geo.Haversine(from.Coord, to.Coord) * 1.2
+			if d < 3000 || d > 12000 {
+				continue
+			}
+			cands = append(cands, Candidate{
+				From: from.Name, To: to.Name, LengthKm: d,
+				MaxAbsLat: maxf(from.Coord.AbsLat(), to.Coord.AbsLat()),
+			})
+		}
+	}
+	probeACoords := coordsOf(net, nodesOf(net, probeA))
+	probeBCoords := coordsOf(net, nodesOf(net, probeB))
+	out := make([][]Candidate, len(models))
+	prelim := make([][]float64, len(models))
+	for _, c := range cands {
+		tmp, err := withCandidateFullCopy(net, c)
+		if err != nil {
+			return nil, err
+		}
+		fromA, _ := dataset.AnchorByName(c.From)
+		toA, _ := dataset.AnchorByName(c.To)
+		d1 := minDist(fromA.Coord, probeACoords) + minDist(toA.Coord, probeBCoords)
+		d2 := minDist(fromA.Coord, probeBCoords) + minDist(toA.Coord, probeACoords)
+		d := d1
+		if d2 < d {
+			d = d2
+		}
+		relevance := 1 / (1 + d/4000)
+		for mi, m := range models {
+			p, err := failure.CableDeathProb(tmp, m, spacingKm, len(tmp.Cables)-1)
+			if err != nil {
+				return nil, err
+			}
+			priced := c
+			priced.SurvivalProb = 1 - p
+			out[mi] = append(out[mi], priced)
+			prelim[mi] = append(prelim[mi], priced.SurvivalProb*relevance)
+		}
+	}
+	for mi := range models {
+		sort.Sort(&byScore{out[mi], prelim[mi]})
+	}
+	return out, nil
+}
+
+// withCandidateFullCopy is withCandidate with the candidate cable written
+// out, as the full-copy pricing built it.
+func withCandidateFullCopy(net *topology.Network, c Candidate) (*topology.Network, error) {
+	fromA, okA := dataset.AnchorByName(c.From)
+	toA, okB := dataset.AnchorByName(c.To)
+	if !okA || !okB {
+		return nil, fmt.Errorf("partition: unknown anchor %q or %q", c.From, c.To)
+	}
+	cp := &topology.Network{Name: net.Name + "+candidate"}
+	cp.Nodes = append(cp.Nodes, net.Nodes...)
+	cp.Cables = append(cp.Cables, net.Cables...)
+	a := len(cp.Nodes)
+	cp.Nodes = append(cp.Nodes, topology.Node{
+		Name: "cand-" + c.From, Coord: fromA.Coord, HasCoord: true, Country: fromA.Country,
+	})
+	b := len(cp.Nodes)
+	cp.Nodes = append(cp.Nodes, topology.Node{
+		Name: "cand-" + c.To, Coord: toA.Coord, HasCoord: true, Country: toA.Country,
+	})
+	cp.Cables = append(cp.Cables, topology.Cable{
+		Name: fmt.Sprintf("candidate-%s-%s", c.From, c.To),
+		Segments: []topology.Segment{
+			{A: a, B: b, LengthKm: c.LengthKm},
+			{A: a, B: nearestOfCountry(net, fromA), LengthKm: 50},
+			{A: b, B: nearestOfCountry(net, toA), LengthKm: 50},
+		},
+		KnownLength: true,
+	})
+	return cp, nil
+}
+
+// TestRankCandidatesMatchesFullCopy prices every candidate of one
+// Recommend call under each model family of the module and requires the
+// full-copy pre-rank exactly: the same candidates in the same order, each
+// with the same survival probability. The path-banded models run on a
+// small map (every twentieth submarine cable and its nodes), because a
+// full copy prices them by tracing every cable's great-circle path again
+// per candidate, about 15 s on the whole map; the endpoint-banded models
+// run on the whole map.
+func TestRankCandidatesMatchesFullCopy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("candidate search over the full topology skipped in short mode")
+	}
+	net := world(t).Submarine
+	small := &topology.Network{Name: net.Name + "/20"}
+	index := map[int]int{}
+	node := func(i int) int {
+		if _, ok := index[i]; !ok {
+			index[i] = len(small.Nodes)
+			small.Nodes = append(small.Nodes, net.Nodes[i])
+		}
+		return index[i]
+	}
+	for ci := 0; ci < len(net.Cables); ci += 20 {
+		c := net.Cables[ci]
+		c.Segments = append([]topology.Segment(nil), c.Segments...)
+		for k, seg := range c.Segments {
+			c.Segments[k].A, c.Segments[k].B = node(seg.A), node(seg.B)
+		}
+		small.Cables = append(small.Cables, c)
+	}
+	storm, err := failure.FromStorm(gic.NewYorkRailroad, gic.DefaultSubmarineConductor(), gic.DefaultRepeaterTolerance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	endpointBanded := []failure.Model{
+		failure.Uniform{P: 0.01},
+		failure.S1(),
+		failure.S2(),
+		storm,
+		failure.Scaled{Base: failure.S1(), Factor: 0.5},
+		failure.Overlay{A: failure.S2(), B: failure.Uniform{P: 0.001}},
+	}
+	pathBanded := []failure.Model{
+		failure.S1Path(),
+		failure.Worst{A: failure.S2(), B: failure.S1Path()},
+	}
+	for _, run := range []struct {
+		net            *topology.Network
+		models         []failure.Model
+		probeA, probeB string
+	}{
+		{net, endpointBanded, "br", "za"},
+		{small, pathBanded, "region:south-america", "region:africa"},
+	} {
+		want, err := rankCandidatesFullCopy(run.net, run.models, 150, run.probeA, run.probeB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mi, m := range run.models {
+			got, err := rankCandidates(run.net, m, 150, run.probeA, run.probeB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want[mi]) {
+				t.Fatalf("%s, %s: %d candidates, want %d", run.net.Name, m.Name(), len(got), len(want[mi]))
+			}
+			for i := range got {
+				if got[i] != want[mi][i] {
+					t.Fatalf("%s, %s: candidate %d is %+v, want %+v", run.net.Name, m.Name(), i, got[i], want[mi][i])
+				}
+			}
+		}
+	}
+}

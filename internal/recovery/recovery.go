@@ -130,30 +130,54 @@ type Schedule struct {
 	RestoredAt map[float64]float64
 }
 
+// ErrBadInput reports a fleet, fault list or repair option that
+// PlanRecovery cannot schedule.
+var ErrBadInput = errors.New("recovery: invalid input")
+
 // PlanRecovery greedily schedules the fleet: whenever a ship frees up, it
 // takes the pending fault with the best marginal value rate — nodes that
 // would regain connectivity divided by (transit + repair) time.
+//
+// The scheduler keeps a live-cable count per node, so the nodes that
+// repairing cable c would reconnect are exactly c's own nodes whose count
+// is zero: pricing a fault walks that cable's nodes, never the network.
+// Each fault must name its own cable; input the rates cannot be priced
+// from returns an error wrapping ErrBadInput (see checkInput).
 func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Options) (*Schedule, error) {
-	if len(fleet) == 0 {
-		return nil, errors.New("recovery: empty fleet")
-	}
-	if opts.BaseDays <= 0 {
-		return nil, errors.New("recovery: base days must be positive")
-	}
-	for _, f := range faults {
-		if f.Cable < 0 || f.Cable >= len(net.Cables) {
-			return nil, fmt.Errorf("recovery: fault references cable %d", f.Cable)
-		}
+	dead, err := checkInput(net, faults, fleet, opts)
+	if err != nil {
+		return nil, err
 	}
 
-	// Current cable state: everything with a fault is dead.
-	dead := make([]bool, len(net.Cables))
-	for _, f := range faults {
-		dead[f.Cable] = true
+	// live[i] counts node i's intact cables; a node with cables and a zero
+	// count is unreachable. initial is the post-storm state, replayed by
+	// the completion-order pass below.
+	ib := net.IncidenceBits()
+	initial := make([]int32, len(net.Nodes))
+	for i := range initial {
+		for _, ci := range ib.NodeCables[ib.NodeCableStart[i]:ib.NodeCableStart[i+1]] {
+			if !dead[ci] {
+				initial[i]++
+			}
+		}
 	}
-	baselineUnreachable := len(net.UnreachableNodes(dead))
-	totalConnected := net.ConnectedNodeCount()
-	preStormReachable := totalConnected // all nodes had live cables pre-storm
+	live := append([]int32(nil), initial...)
+	// reconnects counts the nodes repairing cable ci reconnects: its own
+	// nodes with no other live cable.
+	reconnects := func(ci int) int {
+		n := 0
+		for _, ni := range ib.CableNodes[ib.CableStart[ci]:ib.CableStart[ci+1]] {
+			if live[ni] == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	restore := func(ci int) {
+		for _, ni := range ib.CableNodes[ib.CableStart[ci]:ib.CableStart[ci+1]] {
+			live[ni]++
+		}
+	}
 
 	type shipState struct {
 		ship Ship
@@ -162,14 +186,13 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 	}
 	ships := make([]shipState, len(fleet))
 	for i, s := range fleet {
-		if s.SpeedKmPerDay <= 0 {
-			return nil, fmt.Errorf("recovery: ship %q has no speed", s.Name)
-		}
 		ships[i] = shipState{ship: s, pos: s.Pos}
 	}
 
 	pending := append([]Fault(nil), faults...)
 	sched := &Schedule{RestoredAt: map[float64]float64{}}
+	// cables[k] is the cable of sched.Events[k].
+	cables := make([]int, 0, len(faults))
 
 	for len(pending) > 0 {
 		// Pick the ship that frees first.
@@ -188,13 +211,7 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 			repair := opts.BaseDays + opts.DaysPerRepeater*float64(f.DamagedRepeaters)
 			done := ship.free + transit + repair
 			// Marginal reconnection value of restoring this cable now.
-			dead[f.Cable] = false
-			restored := 0
-			if baselineUnreachable > 0 {
-				restored = baselineUnreachable - len(net.UnreachableNodes(dead))
-			}
-			dead[f.Cable] = true
-			rate := (float64(restored) + 0.1) / (transit + repair)
+			rate := (float64(reconnects(f.Cable)) + 0.1) / (transit + repair)
 			if rate > bestRate {
 				bestRate, bestIdx, bestDone = rate, fi, done
 			}
@@ -204,14 +221,14 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 
 		// Mark repaired for subsequent marginal-value estimates (they
 		// assume earlier-scheduled work completes).
-		dead[f.Cable] = false
-		baselineUnreachable = len(net.UnreachableNodes(dead))
+		restore(f.Cable)
 		sched.Events = append(sched.Events, Event{
 			Ship:  ship.ship.Name,
 			Cable: net.Cables[f.Cable].Name,
 			Start: ship.free,
 			Done:  bestDone,
 		})
+		cables = append(cables, f.Cable)
 		ship.free = bestDone
 		ship.pos = f.Location
 		if bestDone > sched.MakespanDays {
@@ -221,20 +238,18 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 
 	// Post-pass in completion order: per-event restoration counts and
 	// milestone crossing times. (Assignment order differs from completion
-	// order once several ships work in parallel.)
-	sort.Slice(sched.Events, func(i, j int) bool { return sched.Events[i].Done < sched.Events[j].Done })
-	for i := range dead {
-		dead[i] = false
+	// order once several ships work in parallel.) Each event's cable
+	// moves with it.
+	sort.Sort(byDone{sched.Events, cables})
+	copy(live, initial)
+	unreachable := 0
+	for i, n := range live {
+		if n == 0 && ib.NodeCableStart[i+1] > ib.NodeCableStart[i] {
+			unreachable++
+		}
 	}
-	cableIdx := make(map[string]int, len(net.Cables))
-	for ci := range net.Cables {
-		cableIdx[net.Cables[ci].Name] = ci
-	}
-	for _, f := range faults {
-		dead[f.Cable] = true
-	}
+	preStormReachable := net.ConnectedNodeCount() // all nodes had live cables pre-storm
 	milestones := []float64{0.5, 0.9, 0.95, 1.0}
-	unreachable := len(net.UnreachableNodes(dead))
 	record := func(day float64) {
 		restoredFrac := float64(preStormReachable-unreachable) / float64(preStormReachable)
 		for _, m := range milestones {
@@ -244,12 +259,11 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 		}
 	}
 	record(0)
-	for ei := range sched.Events {
-		e := &sched.Events[ei]
-		dead[cableIdx[e.Cable]] = false
-		now := len(net.UnreachableNodes(dead))
-		e.NodesRestored = unreachable - now
-		unreachable = now
+	for k := range sched.Events {
+		e := &sched.Events[k]
+		e.NodesRestored = reconnects(cables[k])
+		restore(cables[k])
+		unreachable -= e.NodesRestored
 		record(e.Done)
 	}
 	for _, m := range milestones {
@@ -258,6 +272,63 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 		}
 	}
 	return sched, nil
+}
+
+// byDone orders events by completion day, swapping each event's cable
+// along with it.
+type byDone struct {
+	events []Event
+	cables []int
+}
+
+func (b byDone) Len() int           { return len(b.events) }
+func (b byDone) Less(i, j int) bool { return b.events[i].Done < b.events[j].Done }
+func (b byDone) Swap(i, j int) {
+	b.events[i], b.events[j] = b.events[j], b.events[i]
+	b.cables[i], b.cables[j] = b.cables[j], b.cables[i]
+}
+
+// checkInput refuses what the scheduler cannot price: a network that
+// fails Validate, an empty fleet, options, speeds and coordinates that
+// would make a value rate NaN or infinite, negative damage, and a second
+// fault on one cable. It returns the faulted cables.
+func checkInput(net *topology.Network, faults []Fault, fleet []Ship, opts Options) ([]bool, error) {
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	if len(fleet) == 0 {
+		return nil, fmt.Errorf("%w: empty fleet", ErrBadInput)
+	}
+	if !(opts.BaseDays > 0) || math.IsInf(opts.BaseDays, 1) {
+		return nil, fmt.Errorf("%w: base days %v, want positive and finite", ErrBadInput, opts.BaseDays)
+	}
+	if !(opts.DaysPerRepeater >= 0) || math.IsInf(opts.DaysPerRepeater, 1) {
+		return nil, fmt.Errorf("%w: days per repeater %v, want non-negative and finite", ErrBadInput, opts.DaysPerRepeater)
+	}
+	for _, s := range fleet {
+		if !(s.SpeedKmPerDay > 0) || math.IsInf(s.SpeedKmPerDay, 1) {
+			return nil, fmt.Errorf("%w: ship %q speed %v km/day, want positive and finite", ErrBadInput, s.Name, s.SpeedKmPerDay)
+		}
+		if err := s.Pos.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: ship %q: %v", ErrBadInput, s.Name, err)
+		}
+	}
+	dead := make([]bool, len(net.Cables))
+	for _, f := range faults {
+		switch {
+		case f.Cable < 0 || f.Cable >= len(net.Cables):
+			return nil, fmt.Errorf("%w: fault references cable %d", ErrBadInput, f.Cable)
+		case dead[f.Cable]:
+			return nil, fmt.Errorf("%w: two faults on cable %d", ErrBadInput, f.Cable)
+		case f.DamagedRepeaters < 0:
+			return nil, fmt.Errorf("%w: fault on cable %d damages %d repeaters", ErrBadInput, f.Cable, f.DamagedRepeaters)
+		}
+		if err := f.Location.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: fault on cable %d: %v", ErrBadInput, f.Cable, err)
+		}
+		dead[f.Cable] = true
+	}
+	return dead, nil
 }
 
 // MonthsToRestore converts a day count to months (30-day months), the

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"gicnet/internal/dataset"
@@ -123,6 +125,90 @@ func TestPlanRecoveryValidation(t *testing.T) {
 	fleet[0].SpeedKmPerDay = 0
 	if _, err := PlanRecovery(net, faults, fleet, DefaultOptions()); err == nil {
 		t.Error("want ship speed error")
+	}
+}
+
+// TestPlanRecoveryRefusesBadInput covers input the value rates cannot be
+// priced from. Before the checks, a NaN speed, position or location made
+// every rate NaN and the scheduler panicked with index -1; a negative
+// repeater count finished a repair before it started; a repeated fault
+// scheduled its cable twice; a segment naming a missing node panicked.
+func TestPlanRecoveryRefusesBadInput(t *testing.T) {
+	net, faults, _ := stormDamage(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name    string
+		network func(*topology.Network)
+		ship    func(*Ship)
+		fault   func([]Fault) []Fault
+		option  func(*Options)
+	}{
+		{name: "NaN speed", ship: func(s *Ship) { s.SpeedKmPerDay = nan }},
+		{name: "infinite speed", ship: func(s *Ship) { s.SpeedKmPerDay = inf }},
+		{name: "NaN ship latitude", ship: func(s *Ship) { s.Pos.Lat = nan }},
+		{name: "ship latitude 95", ship: func(s *Ship) { s.Pos.Lat = 95 }},
+		{name: "NaN fault longitude", fault: func(fs []Fault) []Fault { fs[0].Location.Lon = nan; return fs }},
+		{name: "fault longitude 200", fault: func(fs []Fault) []Fault { fs[0].Location.Lon = 200; return fs }},
+		{name: "negative damage", fault: func(fs []Fault) []Fault { fs[0].DamagedRepeaters = -1000; return fs }},
+		{name: "repeated fault", fault: func(fs []Fault) []Fault { return append(fs, fs[0]) }},
+		{name: "dangling segment", network: func(n *topology.Network) {
+			n.Cables = append(n.Cables, topology.Cable{Name: "dangling", Segments: []topology.Segment{{A: 0, B: len(n.Nodes)}}})
+		}},
+		{name: "NaN base days", option: func(o *Options) { o.BaseDays = nan }},
+		{name: "negative days per repeater", option: func(o *Options) { o.DaysPerRepeater = -1 }},
+	}
+	for _, c := range cases {
+		n := net
+		fleet := DefaultFleet()
+		fs := append([]Fault(nil), faults...)
+		opts := DefaultOptions()
+		if c.network != nil {
+			n = &topology.Network{Name: net.Name, Nodes: net.Nodes, Cables: append([]topology.Cable(nil), net.Cables...)}
+			c.network(n)
+		}
+		if c.ship != nil {
+			c.ship(&fleet[3])
+		}
+		if c.fault != nil {
+			fs = c.fault(fs)
+		}
+		if c.option != nil {
+			c.option(&opts)
+		}
+		sched, err := PlanRecovery(n, fs, fleet, opts)
+		if !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: got schedule %v, err %v; want ErrBadInput", c.name, sched != nil, err)
+		}
+	}
+}
+
+// TestPlanRecoveryAllocationCeiling bounds PlanRecovery's allocations on
+// BenchmarkRecoveryPlanning's input (S2 damage at seed 7 on the default
+// world). Allocation counts do not depend on the host, so the ceiling
+// gives the same verdict anywhere; per-assignment rescans of every node
+// cost about ten thousand.
+func TestPlanRecoveryAllocationCeiling(t *testing.T) {
+	w, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(7)
+	dead, err := failure.SampleCableDeaths(w.Submarine, failure.S2(), 150, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := FaultsFrom(w.Submarine, dead, 150, 0.1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := DefaultFleet()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := PlanRecovery(w.Submarine, faults, fleet, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("PlanRecovery allocates %.0f times for %d faults, ceiling 1000", allocs, len(faults))
 	}
 }
 

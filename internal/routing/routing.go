@@ -11,12 +11,12 @@
 package routing
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
 
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 )
 
@@ -93,41 +93,6 @@ func DefaultDemands() []Demand {
 	return out
 }
 
-// segGraph is a weighted adjacency over cable segments.
-type segGraph struct {
-	net *topology.Network
-	// adj[node] lists (segment global index, other node).
-	adj [][]segRef
-	// segs flattens all cable segments with owner cable index.
-	segs []flatSeg
-}
-
-type segRef struct {
-	seg   int
-	other int
-}
-
-type flatSeg struct {
-	cable    int
-	a, b     int
-	lengthKm float64
-}
-
-func buildSegGraph(net *topology.Network) *segGraph {
-	g := &segGraph{net: net, adj: make([][]segRef, len(net.Nodes))}
-	for ci, c := range net.Cables {
-		for _, s := range c.Segments {
-			si := len(g.segs)
-			g.segs = append(g.segs, flatSeg{cable: ci, a: s.A, b: s.B, lengthKm: s.LengthKm})
-			g.adj[s.A] = append(g.adj[s.A], segRef{si, s.B})
-			if s.A != s.B {
-				g.adj[s.B] = append(g.adj[s.B], segRef{si, s.A})
-			}
-		}
-	}
-	return g
-}
-
 // Report is the result of routing a demand set over a (possibly damaged)
 // network.
 type Report struct {
@@ -154,25 +119,31 @@ func (r *Report) StrandedFrac() float64 {
 // region's gateway set is its up-to-8 highest-degree landing points with
 // coordinates; demand splits evenly across gateway pairs that can reach
 // each other.
+//
+// Paths are searched over the network's cached graph projection, whose
+// edge IDs are the flattened segments (cable by cable, in segment order),
+// so a Report indexes segments and graph edges alike.
 func Route(net *topology.Network, demands []Demand, cableDead []bool) (*Report, error) {
 	if cableDead != nil && len(cableDead) != len(net.Cables) {
 		return nil, errors.New("routing: death vector length mismatch")
 	}
-	g := buildSegGraph(net)
 	gateways := gatewaysByRegion(net)
+	// Each destination region with gateways gets a slot, numbered in
+	// demand order; one search per source gateway serves every slot.
+	slots := map[geo.Region]int{}
+	var dests [][]int
+	for _, d := range demands {
+		if _, ok := slots[d.To]; !ok && len(gateways[d.To]) > 0 {
+			slots[d.To] = len(dests)
+			dests = append(dests, gateways[d.To])
+		}
+	}
+	sp := newSearch(net, cableDead, dests)
 
 	rep := &Report{
-		SegmentLoad:  make([]float64, len(g.segs)),
-		SegmentCable: make([]int, len(g.segs)),
+		SegmentLoad:  make([]float64, len(sp.edgeCable)),
+		SegmentCable: sp.edgeCable,
 	}
-	for i, s := range g.segs {
-		rep.SegmentCable[i] = s.cable
-	}
-
-	alive := func(si int) bool {
-		return cableDead == nil || !cableDead[g.segs[si].cable]
-	}
-
 	for _, d := range demands {
 		rep.Total += d.Volume
 		from := gateways[d.From]
@@ -187,27 +158,24 @@ func Route(net *topology.Network, demands []Demand, cableDead []bool) (*Report, 
 		// the BGP-reconvergence analogue that concentrates load on
 		// survivors (§5.5).
 		per := d.Volume / float64(len(from))
-		type routed struct {
-			segs []int
-		}
-		var ok []routed
-		failedShares := 0.0
+		slot := slots[d.To]
+		routed, failedShares := 0, 0.0
 		for _, src := range from {
-			segs, found := shortestPath(g, src, to, alive)
-			if !found {
+			if _, found := sp.path(src, slot); !found {
 				failedShares += per
 				continue
 			}
-			ok = append(ok, routed{segs})
+			routed++
 		}
-		if len(ok) == 0 {
+		if routed == 0 {
 			rep.Stranded += d.Volume
 			continue
 		}
-		share := per + failedShares/float64(len(ok))
-		for _, r := range ok {
-			for _, si := range r.segs {
-				rep.SegmentLoad[si] += share
+		share := per + failedShares/float64(routed)
+		for _, src := range from {
+			path, _ := sp.path(src, slot)
+			for _, e := range path {
+				rep.SegmentLoad[e] += share
 			}
 		}
 	}
@@ -220,7 +188,7 @@ func Route(net *topology.Network, demands []Demand, cableDead []bool) (*Report, 
 // City aggregation matters: hubs like New York spread their cables over
 // several nearby landing stations.
 func gatewaysByRegion(net *topology.Network) map[geo.Region][]int {
-	deg := make(map[int]int)
+	deg := make([]int, len(net.Nodes))
 	for _, c := range net.Cables {
 		for _, s := range c.Segments {
 			deg[s.A]++
@@ -289,74 +257,183 @@ func cityKey(name string) string {
 	return name
 }
 
+// search finds, for one Route call, the shortest surviving path from a
+// source gateway to the nearest gateway of each destination slot.
+//
+// Dijkstra from a source settles nodes in the same order whatever its
+// targets are, and a search for one region stops at the first gateway of
+// that region it settles. So a single run from the source, continued until
+// it has settled a gateway of every slot, holds every per-region answer:
+// each path is cut out of it when its gateway settles, and the pushes,
+// pops and relaxations before that point are the per-region search's own.
+// The scratch is indexed by node and reused by every run, with a per-run
+// stamp instead of clearing it.
+type search struct {
+	g         *graph.Graph
+	edgeCable []int     // flattened segment -> cable
+	edgeKm    []float64 // flattened segment -> length
+	cableDead []bool
+
+	slot   []int32 // node -> destination slot it is a gateway of, or -1
+	slots  int
+	source []int32 // node -> index of its run's spans, or -1 before its run
+	spans  []span  // run k's path to slot s is edges[spans[k*slots+s]]
+	edges  []graph.EdgeID
+
+	stamp   uint32
+	reached []uint32 // reached[n] == stamp: dist[n] and prev[n] are set
+	settled []uint32 // settled[n] == stamp: n was popped
+	dist    []float64
+	prev    []graph.EdgeID // edge into n on its best path
+	heap    pq
+}
+
+// span is one path's edges, destination first; end < 0 means no path.
+type span struct{ start, end int32 }
+
+// newSearch prepares the searches of one Route call; dests[k] lists the
+// gateways of slot k.
+func newSearch(net *topology.Network, cableDead []bool, dests [][]int) *search {
+	g := net.Graph()
+	n := g.NumNodes()
+	s := &search{
+		g:         g,
+		edgeCable: make([]int, 0, g.NumEdges()),
+		edgeKm:    make([]float64, 0, g.NumEdges()),
+		cableDead: cableDead,
+		slot:      make([]int32, n),
+		slots:     len(dests),
+		source:    make([]int32, n),
+		reached:   make([]uint32, n),
+		settled:   make([]uint32, n),
+		dist:      make([]float64, n),
+		prev:      make([]graph.EdgeID, n),
+	}
+	for i := range s.slot {
+		s.slot[i], s.source[i] = -1, -1
+	}
+	for k, gws := range dests {
+		for _, gw := range gws {
+			s.slot[gw] = int32(k)
+		}
+	}
+	for ci, c := range net.Cables {
+		for _, seg := range c.Segments {
+			s.edgeCable = append(s.edgeCable, ci)
+			s.edgeKm = append(s.edgeKm, seg.LengthKm)
+		}
+	}
+	return s
+}
+
+// path returns the edges of the shortest surviving path from src to the
+// nearest gateway of the slot, destination first, running src's search on
+// first use.
+func (s *search) path(src, slot int) ([]graph.EdgeID, bool) {
+	k := s.source[src]
+	if k < 0 {
+		k = s.run(src)
+	}
+	sp := s.spans[int(k)*s.slots+slot]
+	if sp.end < 0 {
+		return nil, false
+	}
+	return s.edges[sp.start:sp.end], true
+}
+
+// run is Dijkstra from src over alive segments until a gateway of every
+// slot has settled or no node is left to settle.
+func (s *search) run(src int) int32 {
+	const inf = 1e18
+	k := int32(len(s.spans) / s.slots)
+	s.source[src] = k
+	base := len(s.spans)
+	for i := 0; i < s.slots; i++ {
+		s.spans = append(s.spans, span{end: -1})
+	}
+	left := s.slots
+	s.stamp++
+	s.reached[src], s.dist[src] = s.stamp, 0
+	s.heap = append(s.heap[:0], pqItem{node: src, dist: 0})
+	for len(s.heap) > 0 && left > 0 {
+		it := s.heap.pop()
+		if s.settled[it.node] == s.stamp {
+			continue
+		}
+		s.settled[it.node] = s.stamp
+		if sl := s.slot[it.node]; sl >= 0 && s.spans[base+int(sl)].end < 0 {
+			start := len(s.edges)
+			for n := it.node; n != src; {
+				e := s.prev[n]
+				s.edges = append(s.edges, e)
+				n = int(s.g.Other(e, graph.NodeID(n)))
+			}
+			s.spans[base+int(sl)] = span{int32(start), int32(len(s.edges))}
+			left--
+		}
+		for _, e := range s.g.Incident(graph.NodeID(it.node)) {
+			other := int(s.g.Other(e, graph.NodeID(it.node)))
+			if (s.cableDead != nil && s.cableDead[s.edgeCable[e]]) || s.settled[other] == s.stamp {
+				continue
+			}
+			nd := it.dist + s.edgeKm[e]
+			cur := inf
+			if s.reached[other] == s.stamp {
+				cur = s.dist[other]
+			}
+			if nd < cur {
+				s.reached[other], s.dist[other], s.prev[other] = s.stamp, nd, e
+				s.heap.push(pqItem{node: other, dist: nd})
+			}
+		}
+	}
+	return k
+}
+
 // pqItem is a priority queue entry for Dijkstra.
 type pqItem struct {
 	node int
 	dist float64
 }
 
+// pq is a binary min-heap on dist whose push and pop sift exactly like
+// container/heap's Push and Pop, so equal distances leave in the same
+// order as they would there.
 type pq []pqItem
 
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+func (p *pq) push(it pqItem) {
+	h := append(*p, it)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*p = h
 }
 
-// shortestPath runs Dijkstra from src to the nearest member of dsts over
-// alive segments, returning the segment indices of the path.
-func shortestPath(g *segGraph, src int, dsts []int, alive func(int) bool) ([]int, bool) {
-	isDst := make(map[int]bool, len(dsts))
-	for _, d := range dsts {
-		isDst[d] = true
+func (p *pq) pop() pqItem {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	const inf = 1e18
-	dist := make(map[int]float64, 256)
-	prevSeg := make(map[int]int, 256)
-	prevNode := make(map[int]int, 256)
-	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	visited := make(map[int]bool, 256)
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if visited[it.node] {
-			continue
-		}
-		visited[it.node] = true
-		if isDst[it.node] {
-			// reconstruct
-			var segs []int
-			n := it.node
-			for n != src {
-				segs = append(segs, prevSeg[n])
-				n = prevNode[n]
-			}
-			return segs, true
-		}
-		for _, ref := range g.adj[it.node] {
-			if !alive(ref.seg) || visited[ref.other] {
-				continue
-			}
-			nd := it.dist + g.segs[ref.seg].lengthKm
-			cur, seen := dist[ref.other]
-			if !seen {
-				cur = inf
-			}
-			if nd < cur {
-				dist[ref.other] = nd
-				prevSeg[ref.other] = ref.seg
-				prevNode[ref.other] = it.node
-				heap.Push(q, pqItem{node: ref.other, dist: nd})
-			}
-		}
-	}
-	return nil, false
+	*p = h[:n]
+	return h[n]
 }
 
 // Shift describes load change on one cable after failures.

@@ -197,3 +197,21 @@ func TestRenderScenario(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocationCeiling bounds one default Carrington timeline's
+// allocations. Allocation counts do not depend on the host, so the
+// ceiling gives the same verdict anywhere; a repair scheduler that
+// rescans every node per pending fault, or a routing search over maps,
+// costs hundreds of thousands.
+func TestRunAllocationCeiling(t *testing.T) {
+	w := world(t)
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Run(w, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 59000 {
+		t.Errorf("Run allocates %.0f times per default timeline, ceiling 59000", allocs)
+	}
+}

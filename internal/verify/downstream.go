@@ -29,10 +29,7 @@ type downstreamCase struct {
 
 func downstreamCases(w *dataset.World, seed uint64) ([]downstreamCase, error) {
 	root := xrand.New(seed ^ 0xd0e5)
-	nets := []*topology.Network{w.Submarine}
-	for i := 0; i < downstreamRandomNets; i++ {
-		nets = append(nets, randomNetwork(root.SplitAt(uint64(i)), fmt.Sprintf("random-%d", i)))
-	}
+	nets := append([]*topology.Network{w.Submarine}, RandomNetworks(seed)...)
 	cases := make([]downstreamCase, len(nets))
 	for i, net := range nets {
 		r := root.SplitAt(uint64(1000 + i))
@@ -51,6 +48,18 @@ func downstreamCases(w *dataset.World, seed uint64) ([]downstreamCase, error) {
 		cases[i] = downstreamCase{net: net, chain: chain, rng: r}
 	}
 	return cases, nil
+}
+
+// RandomNetworks returns the seeded random small networks the downstream
+// relations check beside the submarine map; the layers' differential tests
+// run on them too.
+func RandomNetworks(seed uint64) []*topology.Network {
+	root := xrand.New(seed ^ 0xd0e5)
+	nets := make([]*topology.Network, downstreamRandomNets)
+	for i := range nets {
+		nets[i] = randomNetwork(root.SplitAt(uint64(i)), fmt.Sprintf("random-%d", i))
+	}
+	return nets
 }
 
 // randomNetwork grows a small network with every node placed somewhere on
