@@ -73,8 +73,10 @@ update-golden:
 
 # Short fuzz runs over the network-JSON parser, the failure-plan compiler,
 # the core-contraction connectivity engine, the bitset kernel primitives
-# (assembly vs reference semantics) and the repair scheduler (against its
-# rescan reference); each also replays its checked-in seed corpus.
+# (assembly vs reference semantics), the cross-layer index (its AS
+# attachment against the all-pairs scan), the repair scheduler (against
+# its rescan reference) and the nearest-point screen (against a
+# brute-force scan); each also replays its checked-in seed corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNetworkJSON$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompile$$' -fuzztime $(FUZZTIME) ./internal/failure
@@ -85,12 +87,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCableASAdjacency$$' -fuzztime $(FUZZTIME) ./internal/crosslayer
 	$(GO) test -run '^$$' -fuzz '^FuzzAnnotationComments$$' -fuzztime $(FUZZTIME) ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRecovery$$' -fuzztime $(FUZZTIME) ./internal/recovery
+	$(GO) test -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME) ./internal/geo
 
-# Quick hot-path benchmarks with allocation counts: the trial engine and
-# the storm path (integrated timeline, repair scheduling, bridge picks,
-# traffic routing).
+# Quick hot-path benchmarks with allocation counts: the trial engine, the
+# storm path (integrated timeline, repair scheduling, bridge picks,
+# traffic routing) and world set-up (the three network generators and the
+# cross-layer index compile).
 bench:
-	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|BitsetEvaluate|BitsetKernels|Crosslayer|FullScenario|RecoveryPlanning|TopologyAugmentation|TrafficRouting' -benchmem .
+	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|BitsetEvaluate|BitsetKernels|Crosslayer|FullScenario|RecoveryPlanning|TopologyAugmentation|TrafficRouting|WorldGeneration|CrosslayerCompile' -benchmem .
 
 # Dated JSON snapshot of the full benchmark suite (see cmd/benchdiff).
 bench-snapshot:

@@ -718,6 +718,21 @@ func BenchmarkPairConnectivity(b *testing.B) {
 	}
 }
 
+// BenchmarkCrosslayerCompile measures compiling the cross-layer index of
+// the real submarine network and router catalog: the pair-edge CSRs and
+// the attachment of every AS to its nearest located cable node, the step
+// that runs once per world and network before any trial is scored.
+func BenchmarkCrosslayerCompile(b *testing.B) {
+	w := benchWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := crosslayer.Compile(w.Submarine, w.Routers, routing.DefaultDemands()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCrosslayerTrialLoop measures cross-layer scoring — dead cables
 // to severed AS pairs and stranded users — of pre-sampled trial blocks on
 // the real submarine network and router catalog, in scalar and bitsliced

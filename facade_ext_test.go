@@ -1,8 +1,13 @@
 package gicnet
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"gicnet/internal/geo"
+	"gicnet/internal/routing"
+	"gicnet/internal/topology"
 )
 
 func TestFacadeTrafficChain(t *testing.T) {
@@ -31,6 +36,23 @@ func TestFacadeTrafficChain(t *testing.T) {
 	}
 	if _, err := CompareTrafficLoads(w.Submarine, before, after); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFacadeRouteTrafficRefusesDanglingSegment: RouteTraffic on a network
+// whose one segment names a missing node returns routing.ErrBadInput
+// instead of panicking.
+func TestFacadeRouteTrafficRefusesDanglingSegment(t *testing.T) {
+	net := &Network{
+		Name: "dangling",
+		Nodes: []Node{
+			{Name: "a", Coord: geo.Coord{Lat: 40, Lon: -70}, HasCoord: true},
+			{Name: "b", Coord: geo.Coord{Lat: 50, Lon: -5}, HasCoord: true},
+		},
+		Cables: []Cable{{Name: "c", Segments: []topology.Segment{{A: 0, B: 7, LengthKm: 5000}}}},
+	}
+	if _, err := RouteTraffic(net, DefaultTrafficDemands(), nil); !errors.Is(err, routing.ErrBadInput) {
+		t.Fatalf("RouteTraffic: err %v, want routing.ErrBadInput", err)
 	}
 }
 

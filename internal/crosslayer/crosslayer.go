@@ -151,6 +151,16 @@ func (x *Index) SiteOf(node int) int32 { return x.siteOf[node] }
 // the demand matrix's region shares. Demands feed only the DemandWeighted
 // reweighting; an all-zero matrix yields routing.ErrZeroDemand.
 func Compile(net *topology.Network, cat *dataset.RouterCatalog, demands []routing.Demand) (*Index, error) {
+	return compile(net, cat, demands, nearestCandidates)
+}
+
+// nearestFunc assigns each AS of cat to the position in cand of its
+// nearest candidate node.
+type nearestFunc func(net *topology.Network, cand []int32, cat *dataset.RouterCatalog) []int
+
+// compile is Compile with the AS attachment search passed in, so tests can
+// hold the screened search to the all-pairs scan it replaced.
+func compile(net *topology.Network, cat *dataset.RouterCatalog, demands []routing.Demand, nearest nearestFunc) (*Index, error) {
 	if net == nil {
 		return nil, errors.New("crosslayer: nil network")
 	}
@@ -191,7 +201,7 @@ func Compile(net *topology.Network, cat *dataset.RouterCatalog, demands []routin
 	}
 
 	x.buildEdges(net)
-	x.attachASes(cat, cand)
+	x.attachASes(cat, cand, nearest(net, cand, cat))
 
 	regionOrder := geo.Regions()
 	for i, r := range regionOrder {
@@ -285,22 +295,53 @@ func (x *Index) buildEdges(net *topology.Network) {
 	}
 }
 
-// attachASes maps every AS to its nearest candidate node and aggregates
-// per-site counts, user shares, and region shares. Nearness uses the
-// spherical law of cosines (monotone in great-circle distance, so the
-// argmin matches geo.Haversine), ties to the lowest node index.
-func (x *Index) attachASes(cat *dataset.RouterCatalog, cand []int32) {
-	net := x.net
+// nearestCandidates returns, per AS, the position in cand of the AS's
+// nearest candidate node. Nearness uses the spherical law of cosines
+// (monotone in great-circle distance, so the argmin matches
+// geo.Haversine), ties to the lowest node index. A geo.Screen skips every
+// candidate whose unit-vector dot product with the AS home proves it
+// farther than one already seen, so only a handful of candidates per AS
+// pay for the cosine.
+func nearestCandidates(net *topology.Network, cand []int32, cat *dataset.RouterCatalog) []int {
 	sinLat := make([]float64, len(cand))
 	cosLat := make([]float64, len(cand))
 	lon := make([]float64, len(cand))
+	units := make([]geo.Vec, len(cand))
 	for i, ni := range cand {
-		la := net.Nodes[ni].Coord.Lat * math.Pi / 180
+		c := net.Nodes[ni].Coord
+		la := c.Lat * math.Pi / 180
 		sinLat[i] = math.Sin(la)
 		cosLat[i] = math.Cos(la)
-		lon[i] = net.Nodes[ni].Coord.Lon * math.Pi / 180
+		lon[i] = c.Lon * math.Pi / 180
+		units[i] = geo.UnitVec(c)
 	}
+	out := make([]int, len(cat.ASes))
+	for i := range cat.ASes {
+		home := cat.ASes[i].Home
+		la := home.Lat * math.Pi / 180
+		lo := home.Lon * math.Pi / 180
+		sa, ca := math.Sin(la), math.Cos(la)
+		q := geo.UnitVec(home)
+		screen := geo.NewScreen()
+		best, bestCos := 0, -2.0
+		for j, u := range units {
+			if !screen.Admit(q.Dot(u)) {
+				continue
+			}
+			c := sa*sinLat[j] + ca*cosLat[j]*math.Cos(lo-lon[j])
+			if c > bestCos {
+				bestCos = c
+				best = j
+			}
+		}
+		out[i] = best
+	}
+	return out
+}
 
+// attachASes attaches every AS to cand[nearest[i]] and aggregates per-site
+// counts, user shares, and region shares.
+func (x *Index) attachASes(cat *dataset.RouterCatalog, cand []int32, nearest []int) {
 	weights := make([]float64, len(cat.ASes))
 	totalRaw := 0.0
 	for i := range cat.ASes {
@@ -327,18 +368,7 @@ func (x *Index) attachASes(cat *dataset.RouterCatalog, cand []int32) {
 	regionAcc := make([][NumRegions]float64, x.numNodes)
 	for i := range cat.ASes {
 		home := cat.ASes[i].Home
-		la := home.Lat * math.Pi / 180
-		lo := home.Lon * math.Pi / 180
-		sa, ca := math.Sin(la), math.Cos(la)
-		best, bestCos := 0, -2.0
-		for j := range cand {
-			c := sa*sinLat[j] + ca*cosLat[j]*math.Cos(lo-lon[j])
-			if c > bestCos {
-				bestCos = c
-				best = j
-			}
-		}
-		node := cand[best]
+		node := cand[nearest[i]]
 		share := weights[i] / totalRaw
 		count[node]++
 		users[node] += share
@@ -412,12 +442,12 @@ type Scratch struct {
 	adjStart   []int32 // forest adjacency CSR over compact labels
 	adjList    []int32
 	adjEdge    []int32
-	parentLab  []int32 // per label: forest parent label, -1 at roots
-	parentEdge []int32 // per label: touched index of the parent edge
-	order      []int32 // labels, parents before children
-	stack      []int32 // DFS worklist
-	comp       []int32 // per-trial: label -> forest component id
-	labelRoot  []int32 // per-trial: component -> root after extras rejoin
+	parentLab  []int32  // per label: forest parent label, -1 at roots
+	parentEdge []int32  // per label: touched index of the parent edge
+	order      []int32  // labels, parents before children
+	stack      []int32  // DFS worklist
+	comp       []int32  // per-trial: label -> forest component id
+	labelRoot  []int32  // per-trial: component -> root after extras rejoin
 	nodeGen    []uint32 // root node -> label, generation-stamped
 	nodeLabel  []int32
 	nodeCtr    uint32

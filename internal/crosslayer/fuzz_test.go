@@ -79,9 +79,10 @@ func worldFromBytes(r *fuzzReader) (*topology.Network, *dataset.RouterCatalog, [
 }
 
 // FuzzCableASAdjacency fuzzes the CSR builder and both scoring paths over
-// degenerate worlds: Compile must never panic, and when it succeeds the
-// scores must satisfy the structural invariants (bounded shares, pair
-// counts monotone under growing dead sets, batched ≡ scalar).
+// degenerate worlds: Compile must never panic and must attach every AS
+// where the all-pairs scan does, and when it succeeds the scores must
+// satisfy the structural invariants (bounded shares, pair counts monotone
+// under growing dead sets, batched ≡ scalar).
 func FuzzCableASAdjacency(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 10, 20, 1, 30, 40, 1, 5, 60, 2, 1, 0, 1, 100, 2, 3, 50, 80, 2})
@@ -90,6 +91,13 @@ func FuzzCableASAdjacency(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		net, cat, demands := worldFromBytes(r)
+		// The screened AS attachment must match the all-pairs scan, on
+		// the intact network and with every cable dead.
+		allDead := graph.NewBitset(len(net.Cables))
+		allDead.SetRange(0, len(net.Cables))
+		if err := sameAsScan(net, cat, demands, []graph.Bitset{allDead}); err != nil {
+			t.Fatal(err)
+		}
 		x, err := Compile(net, cat, demands)
 		if err != nil {
 			return // degenerate world rejected with a typed error: fine

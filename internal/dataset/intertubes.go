@@ -53,12 +53,19 @@ func GenerateIntertubes(cfg IntertubesConfig, rng *xrand.Source) (*topology.Netw
 	// Junction towns: regen huts and small cities along metro-metro
 	// corridors. Interpolate between two nearby metros with jitter.
 	weights := make([]float64, len(usCities))
+	cities := make([]geo.Coord, len(usCities))
+	cityUnits := make([]geo.Vec, len(usCities))
 	for i, c := range usCities {
 		weights[i] = c.Weight
+		cities[i] = c.Coord
+		cityUnits[i] = geo.UnitVec(c.Coord)
 	}
+	var near []int
 	for len(net.Nodes) < cfg.Nodes {
 		a := rng.Pick(weights)
-		b := nearestCityTo(a, rng)
+		// One of the 4 nearest cities to a, at random.
+		near = geo.NearestK(near[:0], cities[a], cityUnits[a], cities, cityUnits, 4, a)
+		b := near[rng.Intn(len(near))]
 		f := rng.Range(0.25, 0.75)
 		p := geo.Interpolate(usCities[a].Coord, usCities[b].Coord, f)
 		p.Lat = clampLat(p.Lat + rng.Range(-0.3, 0.3))
@@ -92,27 +99,6 @@ func GenerateIntertubes(cfg IntertubesConfig, rng *xrand.Source) (*topology.Netw
 	return net, nil
 }
 
-// nearestCityTo picks one of the 4 nearest cities to a, at random.
-func nearestCityTo(a int, rng *xrand.Source) int {
-	type cand struct {
-		idx int
-		d   float64
-	}
-	cands := make([]cand, 0, len(usCities)-1)
-	for i := range usCities {
-		if i == a {
-			continue
-		}
-		cands = append(cands, cand{i, geo.Haversine(usCities[a].Coord, usCities[i].Coord)})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	k := 4
-	if k > len(cands) {
-		k = len(cands)
-	}
-	return cands[rng.Intn(k)].idx
-}
-
 // buildMesh returns linkCount node pairs: a minimum-spanning tree of short
 // hops for connectivity, topped up with express inter-metro conduits whose
 // lengths follow the long-haul corridor distribution (median ~450 km).
@@ -122,29 +108,26 @@ func buildMesh(net *topology.Network, linkCount int, rng *xrand.Source) [][2]int
 		a, b int
 		d    float64
 	}
-	// Candidate pairs: k nearest neighbours of each node keeps the
-	// candidate set O(n*k) instead of O(n^2) links.
+	// Candidate pairs: k nearest neighbours of each node (nearest first,
+	// equal distances to the lower index) keeps the candidate set O(n*k)
+	// instead of O(n^2) links.
 	const k = 14
+	coords := make([]geo.Coord, n)
+	units := make([]geo.Vec, n)
+	for i, nd := range net.Nodes {
+		coords[i] = nd.Coord
+		units[i] = geo.UnitVec(nd.Coord)
+	}
 	seen := make(map[[2]int]bool)
 	var cands []pair
+	var nbs []int
 	for i := 0; i < n; i++ {
-		type nb struct {
-			j int
-			d float64
-		}
-		nbs := make([]nb, 0, n-1)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			nbs = append(nbs, nb{j, geo.Haversine(net.Nodes[i].Coord, net.Nodes[j].Coord)})
-		}
-		sort.Slice(nbs, func(x, y int) bool { return nbs[x].d < nbs[y].d })
-		for x := 0; x < k && x < len(nbs); x++ {
-			key := orderedPair(i, nbs[x].j)
+		nbs = geo.NearestK(nbs[:0], coords[i], units[i], coords, units, k, i)
+		for _, j := range nbs {
+			key := orderedPair(i, j)
 			if !seen[key] {
 				seen[key] = true
-				cands = append(cands, pair{key[0], key[1], nbs[x].d})
+				cands = append(cands, pair{key[0], key[1], geo.Haversine(coords[i], coords[j])})
 			}
 		}
 	}
@@ -181,19 +164,30 @@ func buildMesh(net *topology.Network, linkCount int, rng *xrand.Source) [][2]int
 	for i, c := range usCities {
 		cityWeights[i] = c.Weight
 	}
+	// lnDist[a][j] is ln(d+1) of the haversine between cities a and j,
+	// filled the first time a is drawn: the cities are fixed and the
+	// draws repeat.
+	lnDist := make([][]float64, len(usCities))
+	scores := make([]float64, len(usCities))
 	for guard := 0; len(links) < linkCount && guard < linkCount*50; guard++ {
 		a := rng.Pick(cityWeights)
 		target := rng.LogNormal(lnOf(180), 0.75)
 		if target > 2500 {
 			target = 2500
 		}
-		scores := make([]float64, len(usCities))
+		if lnDist[a] == nil {
+			lnDist[a] = make([]float64, len(usCities))
+			for j := range usCities {
+				lnDist[a][j] = lnOf(geo.Haversine(usCities[a].Coord, usCities[j].Coord) + 1)
+			}
+		}
+		lnTarget := lnOf(target)
 		for j := range usCities {
 			if j == a {
+				scores[j] = 0
 				continue
 			}
-			d := geo.Haversine(usCities[a].Coord, usCities[j].Coord)
-			z := (lnOf(d+1) - lnOf(target)) / 0.4
+			z := (lnDist[a][j] - lnTarget) / 0.4
 			scores[j] = usCities[j].Weight * expNeg(z*z/2)
 		}
 		b := rng.Pick(scores)

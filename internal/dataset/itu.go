@@ -60,7 +60,11 @@ func GenerateITU(cfg ITUConfig, rng *xrand.Source) (*topology.Network, error) {
 		return nil, err
 	}
 
-	net := &topology.Network{Name: "itu"}
+	net := &topology.Network{
+		Name:   "itu",
+		Nodes:  make([]topology.Node, 0, cfg.Nodes),
+		Cables: make([]topology.Cable, 0, cfg.Links),
+	}
 	// Transient coordinates for length computation only.
 	coords := make([]geo.Coord, 0, cfg.Nodes)
 	clusterOf := make([]int, 0, cfg.Nodes)
@@ -123,14 +127,22 @@ func GenerateITU(cfg ITUConfig, rng *xrand.Source) (*topology.Network, error) {
 	for cl, nodes := range clusterNodes {
 		centers[cl] = coords[nodes[len(nodes)/2]]
 	}
-	// Prim's algorithm over cluster centers: O(C^2) total.
+	// Prim's algorithm over cluster centers: O(C^2) dot products, and a
+	// haversine only for the pairs each cluster's screen admits.
+	units := make([]geo.Vec, cfg.Clusters)
+	for cl, c := range centers {
+		units[cl] = geo.UnitVec(c)
+	}
 	inTree := make([]bool, cfg.Clusters)
 	inTree[0] = true
 	nearestTree := make([]int, cfg.Clusters)    // nearest in-tree cluster
 	distToTree := make([]float64, cfg.Clusters) // distance to it
+	screens := make([]geo.Screen, cfg.Clusters)
 	for cl := 1; cl < cfg.Clusters; cl++ {
 		nearestTree[cl] = 0
 		distToTree[cl] = geo.Haversine(centers[cl], centers[0])
+		screens[cl] = geo.NewScreen()
+		screens[cl].Admit(units[cl].Dot(units[0]))
 	}
 	spanning := 0
 	for added := 1; added < cfg.Clusters; added++ {
@@ -151,7 +163,7 @@ func GenerateITU(cfg ITUConfig, rng *xrand.Source) (*topology.Network, error) {
 		spanning++
 		inTree[bestTo] = true
 		for cl := 0; cl < cfg.Clusters; cl++ {
-			if inTree[cl] {
+			if inTree[cl] || !screens[cl].Admit(units[cl].Dot(units[bestTo])) {
 				continue
 			}
 			if nd := geo.Haversine(centers[cl], centers[bestTo]); nd < distToTree[cl] {

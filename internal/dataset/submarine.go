@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
@@ -69,6 +70,11 @@ type submarineBuilder struct {
 	pools   map[string][]int // anchor name -> node indices
 	used    map[int]bool     // nodes referenced by at least one cable
 	weights []float64        // anchor pick weights incl. north bias
+	units   []geo.Vec        // per node: its coordinate on the unit sphere
+	// hosts lists, per node, the procedural (non-trunk) cables with a
+	// segment at that node, ascending. Every cable and segment goes
+	// through addCable or appendSegment, which keep it current.
+	hosts [][]int
 }
 
 // GenerateSubmarine synthesises the global submarine cable network.
@@ -76,6 +82,21 @@ func GenerateSubmarine(cfg SubmarineConfig, rng *xrand.Source) (*topology.Networ
 	if cfg.Cables < TrunkCount() {
 		return nil, fmt.Errorf("dataset: need at least %d cables for trunks, got %d", TrunkCount(), cfg.Cables)
 	}
+	b := newSubmarineBuilder(cfg, rng)
+	b.addTrunks()
+	b.addRegionalCables()
+	b.attachRemainingLandingPoints()
+	b.bridgeComponents()
+	b.markUnknownLengths()
+
+	if err := b.net.Validate(); err != nil {
+		return nil, fmt.Errorf("dataset: generated submarine network invalid: %w", err)
+	}
+	return b.net, nil
+}
+
+// newSubmarineBuilder returns an empty builder with the anchor weights.
+func newSubmarineBuilder(cfg SubmarineConfig, rng *xrand.Source) *submarineBuilder {
 	b := &submarineBuilder{
 		cfg:   cfg,
 		rng:   rng,
@@ -94,17 +115,7 @@ func GenerateSubmarine(cfg SubmarineConfig, rng *xrand.Source) (*topology.Networ
 		}
 		b.weights[i] = w
 	}
-
-	b.addTrunks()
-	b.addRegionalCables()
-	b.attachRemainingLandingPoints()
-	b.bridgeComponents()
-	b.markUnknownLengths()
-
-	if err := b.net.Validate(); err != nil {
-		return nil, fmt.Errorf("dataset: generated submarine network invalid: %w", err)
-	}
-	return b.net, nil
+	return b
 }
 
 // landingPoint returns a node index for a landing in the anchor's city,
@@ -137,6 +148,8 @@ func (b *submarineBuilder) newLandingPoint(anchorName string, markUsed bool) int
 		HasCoord: true,
 		Country:  a.Country,
 	})
+	b.units = append(b.units, geo.UnitVec(c))
+	b.hosts = append(b.hosts, nil)
 	b.pools[anchorName] = append(b.pools[anchorName], idx)
 	if markUsed {
 		b.used[idx] = true
@@ -190,7 +203,7 @@ func (b *submarineBuilder) addTrunks() {
 				LengthKm: t.LengthKm * d / total,
 			}
 		}
-		b.net.Cables = append(b.net.Cables, topology.Cable{
+		b.addCable(topology.Cable{
 			Name:        t.Name,
 			Segments:    segs,
 			KnownLength: true,
@@ -241,7 +254,7 @@ func (b *submarineBuilder) addRegionalCables() {
 			segs = append(segs, topology.Segment{A: prev, B: ni, LengthKm: d})
 			prev, cur = ni, next
 		}
-		b.net.Cables = append(b.net.Cables, topology.Cable{
+		b.addCable(topology.Cable{
 			Name:        fmt.Sprintf("regional-%03d", k),
 			Segments:    segs,
 			KnownLength: true,
@@ -255,7 +268,7 @@ func (b *submarineBuilder) addLocalCable(k int) {
 	ai := b.rng.Pick(b.weights)
 	a := b.newLandingPoint(anchors[ai].Name, true)
 	c := b.newLandingPoint(anchors[ai].Name, true)
-	b.net.Cables = append(b.net.Cables, topology.Cable{
+	b.addCable(topology.Cable{
 		Name:        fmt.Sprintf("local-%03d", k),
 		Segments:    []topology.Segment{{A: a, B: c, LengthKm: b.localLength()}},
 		KnownLength: true,
@@ -297,55 +310,67 @@ func (b *submarineBuilder) attachRemainingLandingPoints() {
 }
 
 // attachAsBranch connects node idx to the nearest used node that hosts a
-// procedural cable, extending that cable with a branch segment. Named
+// procedural cable, extending one of that node's procedural cables (drawn
+// uniformly from its ascending host list) with a branch segment. Named
 // trunks are never extended — their published lengths must stay intact.
+// Equal distances go to the lower node index.
 func (b *submarineBuilder) attachAsBranch(idx int) {
-	type cand struct {
-		node int
-		d    float64
-	}
-	var cands []cand
+	q, qv := b.net.Nodes[idx].Coord, b.units[idx]
+	screen := geo.NewScreen()
+	best, bestD := -1, math.Inf(1)
 	for j := range b.net.Nodes {
-		if j == idx || !b.used[j] {
+		if j == idx || len(b.hosts[j]) == 0 || !screen.Admit(qv.Dot(b.units[j])) {
 			continue
 		}
-		cands = append(cands, cand{j, geo.Haversine(b.net.Nodes[idx].Coord, b.net.Nodes[j].Coord)})
+		if d := geo.Haversine(q, b.net.Nodes[j].Coord); d < bestD {
+			best, bestD = j, d
+		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	for _, c := range cands {
-		ci := b.proceduralCableTouching(c.node)
-		if ci < 0 {
-			continue
-		}
-		length := c.d * b.cfg.DetourFactor
-		if length < 30 {
-			length = 30 + b.rng.Range(0, 40)
-		}
-		b.net.Cables[ci].Segments = append(b.net.Cables[ci].Segments, topology.Segment{
-			A: c.node, B: idx, LengthKm: length,
-		})
-		b.used[idx] = true
+	if best < 0 {
 		return
+	}
+	hosts := b.hosts[best]
+	ci := hosts[b.rng.Intn(len(hosts))]
+	length := bestD * b.cfg.DetourFactor
+	if length < 30 {
+		length = 30 + b.rng.Range(0, 40)
+	}
+	b.appendSegment(ci, topology.Segment{A: best, B: idx, LengthKm: length})
+	b.used[idx] = true
+}
+
+// addCable appends a cable; a procedural one (every cable after the named
+// trunks) becomes a host of its segments' nodes.
+func (b *submarineBuilder) addCable(c topology.Cable) {
+	b.net.Cables = append(b.net.Cables, c)
+	for _, s := range c.Segments {
+		b.addHost(s.A, len(b.net.Cables)-1)
+		b.addHost(s.B, len(b.net.Cables)-1)
 	}
 }
 
-// proceduralCableTouching returns a procedural (non-trunk) cable index
-// with a segment at node n, or -1. Named trunks are never returned so
-// branch growth cannot distort the published trunk lengths.
-func (b *submarineBuilder) proceduralCableTouching(n int) int {
-	var regular []int
-	for ci := TrunkCount(); ci < len(b.net.Cables); ci++ {
-		for _, s := range b.net.Cables[ci].Segments {
-			if s.A == n || s.B == n {
-				regular = append(regular, ci)
-				break
-			}
-		}
+// appendSegment extends procedural cable ci with segment s.
+func (b *submarineBuilder) appendSegment(ci int, s topology.Segment) {
+	b.net.Cables[ci].Segments = append(b.net.Cables[ci].Segments, s)
+	b.addHost(s.A, ci)
+	b.addHost(s.B, ci)
+}
+
+// addHost records procedural cable ci at node n, keeping n's host list
+// ascending and free of repeats. Trunk cables are not recorded.
+func (b *submarineBuilder) addHost(n, ci int) {
+	if ci < TrunkCount() {
+		return
 	}
-	if len(regular) > 0 {
-		return regular[b.rng.Intn(len(regular))]
+	h := b.hosts[n]
+	k := sort.SearchInts(h, ci)
+	if k < len(h) && h[k] == ci {
+		return
 	}
-	return -1
+	h = append(h, 0)
+	copy(h[k+1:], h[k:])
+	h[k] = ci
+	b.hosts[n] = h
 }
 
 // bridgeComponents merges every small component into the giant component
@@ -353,70 +378,67 @@ func (b *submarineBuilder) proceduralCableTouching(n int) int {
 // The real submarine network is one connected system apart from a handful
 // of domestic loops; leaving islands would distort the reachability
 // analyses.
+//
+// The giant is the largest component; among equal sizes it is the one
+// with the smallest node index, the component an ascending labelling
+// numbers first. One union-find follows the merges. Each merge adds one
+// small component to the giant, so the giant only ever grows and stays
+// the largest.
 func (b *submarineBuilder) bridgeComponents() {
-	// Incremental nearest-pair bookkeeping. Node coordinates are fixed
-	// while bridging and the giant component only ever grows, so each
-	// non-giant node's closest bridgeable giant partner can only improve
-	// as new members join the giant. Track a running (bestD, bestJ) per
-	// node and fold in just the newly-giant nodes each round: every cross
-	// pair is visited at most once, instead of rescanning the full cross
-	// product per merge. The lexicographic tie-break below reproduces the
-	// full rescan's first-minimum selection bit for bit, so the generated
-	// world is byte-identical to the quadratic builder's.
 	nn := len(b.net.Nodes)
+	uf := graph.NewUnionFind(nn)
+	for ci := range b.net.Cables {
+		for _, s := range b.net.Cables[ci].Segments {
+			uf.Union(s.A, s.B)
+		}
+	}
+	size := make([]int, nn)
+	for i := 0; i < nn; i++ {
+		size[uf.Find(i)]++
+	}
+	// Ascending i meets each component first at its smallest node, and
+	// only a strictly larger component replaces the giant.
+	giant := uf.Find(0)
+	for i := 1; i < nn; i++ {
+		if r := uf.Find(i); size[r] > size[giant] {
+			giant = r
+		}
+	}
+	var fresh, outside []int // new giant members; every other node, ascending
+	for i := 0; i < nn; i++ {
+		if uf.Find(i) == giant {
+			fresh = append(fresh, i)
+		} else {
+			outside = append(outside, i)
+		}
+	}
+
+	// Incremental nearest-pair bookkeeping. Node coordinates are fixed
+	// while bridging and the giant only grows, so each outside node's
+	// closest bridgeable giant partner can only improve as members join.
+	// Track a running (bestD, bestJ) per node and fold in just the new
+	// members each round: every cross pair is visited at most once, and
+	// only pairs that pass the node's screen pay for a haversine.
 	bestD := make([]float64, nn)
 	bestJ := make([]int, nn)
+	screens := make([]geo.Screen, nn)
 	for i := range bestD {
 		bestD[i] = math.Inf(1)
 		bestJ[i] = -1
+		screens[i] = geo.NewScreen()
 	}
-	wasGiant := make([]bool, nn)
-	host := make([]int, nn)
-	// Each iteration merges one component; the count strictly decreases,
-	// so the loop terminates within NumNodes iterations.
-	for iter := 0; iter < nn; iter++ {
-		labels, count := componentLabels(b.net)
-		if count <= 1 {
-			return
-		}
-		sizes := make([]int, count)
-		for _, l := range labels {
-			sizes[l]++
-		}
-		giant := 0
-		for l, s := range sizes {
-			if s > sizes[giant] {
-				giant = l
-			}
-		}
-		// Per node, one procedural cable touching it; trunks must not
-		// grow, so nodes hosting only trunks are not bridgeable. A giant
-		// node's host can change cable but never appears after the node
-		// was folded in: segments are only ever appended at the chosen
-		// endpoints, whose hosts are already set.
-		for i := range host {
-			host[i] = -1
-		}
-		for ci := TrunkCount(); ci < len(b.net.Cables); ci++ {
-			for _, s := range b.net.Cables[ci].Segments {
-				host[s.A] = ci
-				host[s.B] = ci
-			}
-		}
-		// Fold newly-giant bridgeable nodes into every non-giant node's
-		// running minimum. Equal distances keep the smaller j, matching
-		// the ascending-scan strict-< selection of a full rescan.
-		for j := 0; j < nn; j++ {
-			if labels[j] != giant || wasGiant[j] {
+	for len(outside) > 0 {
+		// Only nodes hosting a procedural cable are bridgeable: trunks
+		// must not grow. A giant node never gains its first host, since
+		// segments are only appended at a hosted giant node and at an
+		// outside node.
+		for _, j := range fresh {
+			if len(b.hosts[j]) == 0 {
 				continue
 			}
-			wasGiant[j] = true
-			if host[j] < 0 {
-				continue
-			}
-			cj := b.net.Nodes[j].Coord
-			for i := 0; i < nn; i++ {
-				if labels[i] == giant {
+			cj, vj := b.net.Nodes[j].Coord, b.units[j]
+			for _, i := range outside {
+				if !screens[i].Admit(b.units[i].Dot(vj)) {
 					continue
 				}
 				d := geo.Haversine(b.net.Nodes[i].Coord, cj)
@@ -426,14 +448,11 @@ func (b *submarineBuilder) bridgeComponents() {
 				}
 			}
 		}
-		// Pick the non-giant node closest to its giant partner; equal
-		// distances keep the smaller node index, as the rescan would.
+		// Bridge the outside node closest to its giant partner; equal
+		// distances keep the smaller node index.
 		bd, ba := math.Inf(1), -1
-		for i := 0; i < nn; i++ {
-			if labels[i] == giant || bestJ[i] < 0 {
-				continue
-			}
-			if bestD[i] < bd {
+		for _, i := range outside {
+			if bestJ[i] >= 0 && bestD[i] < bd {
 				bd, ba = bestD[i], i
 			}
 		}
@@ -441,18 +460,23 @@ func (b *submarineBuilder) bridgeComponents() {
 			return
 		}
 		bj := bestJ[ba]
-		b.net.Cables[host[bj]].Segments = append(b.net.Cables[host[bj]].Segments, topology.Segment{
+		hosts := b.hosts[bj]
+		b.appendSegment(hosts[len(hosts)-1], topology.Segment{
 			A: bj, B: ba, LengthKm: bd * b.cfg.DetourFactor,
 		})
+		uf.Union(bj, ba)
+		giant = uf.Find(bj)
+		kept := outside[:0]
+		fresh = fresh[:0]
+		for _, i := range outside {
+			if uf.Find(i) == giant {
+				fresh = append(fresh, i)
+			} else {
+				kept = append(kept, i)
+			}
+		}
+		outside = kept
 	}
-}
-
-// componentLabels computes connected-component labels on a throwaway graph
-// projection (the Network's own cache must not be primed while the builder
-// still mutates cables).
-func componentLabels(n *topology.Network) ([]int, int) {
-	tmp := &topology.Network{Name: n.Name, Nodes: n.Nodes, Cables: n.Cables}
-	return tmp.Graph().Components(nil)
 }
 
 // markUnknownLengths marks the configured number of procedural cables as

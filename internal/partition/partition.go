@@ -221,7 +221,7 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 	if err != nil {
 		return nil, err
 	}
-	cands, err := rankCandidates(net, m, spacingKm, probeA, probeB)
+	cands, backhaul, err := rankCandidates(net, m, spacingKm, probeA, probeB)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +231,8 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 	}
 	evaluated := cands[:limit]
 	for i := range evaluated {
-		augmented, err := withCandidate(net, evaluated[i])
+		c := evaluated[i]
+		augmented, err := withCandidate(net, c, backhaul[c.From], backhaul[c.To])
 		if err != nil {
 			return nil, err
 		}
@@ -251,11 +252,13 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 // rankCandidates lists every bridge candidate with its survival
 // probability, sorted by the analytic pre-rank: survival times probe
 // relevance. A bridge can only help the probe pair if its landings sit
-// near the probes' nodes — one end near each side.
-func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, probeA, probeB string) ([]Candidate, error) {
+// near the probes' nodes — one end near each side. It also returns each
+// low-latitude anchor's backhaul node (nearestOfCountry) by anchor name.
+func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, probeA, probeB string) ([]Candidate, map[string]int, error) {
 	anchors := dataset.Anchors()
 	probeACoords := coordsOf(net, nodesOf(net, probeA))
 	probeBCoords := coordsOf(net, nodesOf(net, probeB))
+	units := unitVecs(net)
 	// Each low-latitude anchor's landing node, backhaul node and distance
 	// to each probe side, shared by every candidate that lands there.
 	type end struct {
@@ -264,15 +267,17 @@ func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, p
 		toA, toB float64
 	}
 	ends := make([]end, len(anchors))
+	backhauls := make(map[string]int)
 	for i, a := range anchors {
 		if a.Coord.AbsLat() >= geo.MidBandCut {
 			continue
 		}
-		backhaul := nearestOfCountry(net, a)
+		backhaul := nearestOfCountry(net, units, a)
 		if backhaul < 0 {
-			return nil, fmt.Errorf("partition: no node with coordinates to tie anchor %q into", a.Name)
+			return nil, nil, fmt.Errorf("partition: no node with coordinates to tie anchor %q into", a.Name)
 		}
 		ends[i] = end{landing(a), backhaul, minDist(a.Coord, probeACoords), minDist(a.Coord, probeBCoords)}
+		backhauls[a.Name] = backhaul
 	}
 
 	var cands []Candidate
@@ -304,7 +309,7 @@ func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, p
 			}
 			p, err := failure.CableDeathProb(alone, m, spacingKm, 0)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			c.SurvivalProb = 1 - p
 			// Best assignment of the two endpoints to the two probe sides.
@@ -318,7 +323,7 @@ func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, p
 		}
 	}
 	sort.Sort(&byScore{cands, prelim})
-	return cands, nil
+	return cands, backhauls, nil
 }
 
 // byScore sorts candidates and their scores together, descending.
@@ -364,8 +369,10 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// withCandidate returns a copy of net with the candidate cable appended.
-func withCandidate(net *topology.Network, c Candidate) (*topology.Network, error) {
+// withCandidate returns a copy of net with the candidate cable appended,
+// its landings tied into nodes nearFrom and nearTo (the backhaul nodes of
+// c.From and c.To).
+func withCandidate(net *topology.Network, c Candidate, nearFrom, nearTo int) (*topology.Network, error) {
 	fromA, okA := dataset.AnchorByName(c.From)
 	toA, okB := dataset.AnchorByName(c.To)
 	if !okA || !okB {
@@ -376,7 +383,7 @@ func withCandidate(net *topology.Network, c Candidate) (*topology.Network, error
 	cp.Cables = append(cp.Cables, net.Cables...)
 	a, b := len(cp.Nodes), len(cp.Nodes)+1
 	cp.Nodes = append(cp.Nodes, landing(fromA), landing(toA))
-	cp.Cables = append(cp.Cables, candidateCable(c, a, b, nearestOfCountry(net, fromA), nearestOfCountry(net, toA)))
+	cp.Cables = append(cp.Cables, candidateCable(c, a, b, nearFrom, nearTo))
 	return cp, nil
 }
 
@@ -401,15 +408,30 @@ func candidateCable(c Candidate, a, b, nearA, nearB int) topology.Cable {
 }
 
 // nearestOfCountry finds the nearest existing node in the anchor's
-// country, falling back to the globally nearest node with coordinates.
-func nearestOfCountry(net *topology.Network, a dataset.Anchor) int {
+// country, falling back to the globally nearest node with coordinates:
+// the node with the least haversine distance, divided by 10 for nodes of
+// the anchor's country, ties to the lowest index. units holds every
+// node's unit vector (unitVecs). Each country class has its own screen,
+// because one weight holds within a class: a node the screen skips is
+// strictly farther than a node of its own class already weighed.
+func nearestOfCountry(net *topology.Network, units []geo.Vec, a dataset.Anchor) int {
+	q := geo.UnitVec(a.Coord)
+	same, other := geo.NewScreen(), geo.NewScreen()
 	best, bestD := -1, 1e18
 	for i, nd := range net.Nodes {
 		if !nd.HasCoord {
 			continue
 		}
+		home := nd.Country == a.Country
+		screen := &other
+		if home {
+			screen = &same
+		}
+		if !screen.Admit(q.Dot(units[i])) {
+			continue
+		}
 		d := geo.Haversine(nd.Coord, a.Coord)
-		if nd.Country == a.Country {
+		if home {
 			d /= 10 // strong preference for same-country backhaul
 		}
 		if d < bestD {
@@ -417,6 +439,18 @@ func nearestOfCountry(net *topology.Network, a dataset.Anchor) int {
 		}
 	}
 	return best
+}
+
+// unitVecs returns every node's coordinate as a unit vector (the zero
+// vector for nodes without coordinates).
+func unitVecs(net *topology.Network) []geo.Vec {
+	units := make([]geo.Vec, len(net.Nodes))
+	for i, nd := range net.Nodes {
+		if nd.HasCoord {
+			units[i] = geo.UnitVec(nd.Coord)
+		}
+	}
+	return units
 }
 
 // pairSurvival is a local Monte Carlo of target-set connectivity (the

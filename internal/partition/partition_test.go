@@ -136,7 +136,11 @@ func TestCompareAugmentationHelps(t *testing.T) {
 	}
 	augmented := w.Submarine
 	for _, c := range cands {
-		if augmented, err = withCandidate(augmented, c); err != nil {
+		from, _ := dataset.AnchorByName(c.From)
+		to, _ := dataset.AnchorByName(c.To)
+		units := unitVecs(augmented)
+		nearFrom, nearTo := nearestOfCountry(augmented, units, from), nearestOfCountry(augmented, units, to)
+		if augmented, err = withCandidate(augmented, c, nearFrom, nearTo); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +169,7 @@ func TestWithCandidateDoesNotMutateOriginal(t *testing.T) {
 	net := world(t).Submarine
 	nodesBefore, cablesBefore := len(net.Nodes), len(net.Cables)
 	c := Candidate{From: "fortaleza", To: "lagos", LengthKm: 6000}
-	aug, err := withCandidate(net, c)
+	aug, err := withCandidate(net, c, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +182,7 @@ func TestWithCandidateDoesNotMutateOriginal(t *testing.T) {
 	if err := aug.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := withCandidate(net, Candidate{From: "atlantis", To: "lagos"}); err == nil {
+	if _, err := withCandidate(net, Candidate{From: "atlantis", To: "lagos"}, 0, 1); err == nil {
 		t.Error("want unknown anchor error")
 	}
 }

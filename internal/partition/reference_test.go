@@ -14,8 +14,9 @@ import (
 
 // rankCandidatesFullCopy is the pre-rank as it was before candidates were
 // priced on their own: each candidate is appended to a full copy of the
-// network (hypotheticalDeathProb), and its backhaul nodes and probe
-// distances are searched afresh per candidate. It ranks under several
+// network (hypotheticalDeathProb), and its backhaul nodes (by the scan,
+// NearestOfCountryScan) and probe distances are searched afresh per
+// candidate. It ranks under several
 // models at once, so one copy per candidate serves all of them.
 func rankCandidatesFullCopy(net *topology.Network, models []failure.Model, spacingKm float64, probeA, probeB string) ([][]Candidate, error) {
 	var cands []Candidate
@@ -75,8 +76,36 @@ func rankCandidatesFullCopy(net *topology.Network, models []failure.Model, spaci
 	return out, nil
 }
 
+// NearestOfCountryScan is nearestOfCountry as it was before the screen:
+// a haversine to every located node, divided by 10 within the anchor's
+// country, ties to the lowest index. The differential tests and the
+// full-copy pre-rank hold nearestOfCountry to it.
+func NearestOfCountryScan(net *topology.Network, a dataset.Anchor) int {
+	best, bestD := -1, 1e18
+	for i, nd := range net.Nodes {
+		if !nd.HasCoord {
+			continue
+		}
+		d := geo.Haversine(nd.Coord, a.Coord)
+		if nd.Country == a.Country {
+			d /= 10
+		}
+		if d < bestD {
+			bestD, best = d, i
+		}
+	}
+	return best
+}
+
+// NearestOfCountry is the screened backhaul search, for the external
+// differential tests.
+func NearestOfCountry(net *topology.Network, a dataset.Anchor) int {
+	return nearestOfCountry(net, unitVecs(net), a)
+}
+
 // withCandidateFullCopy is withCandidate with the candidate cable written
-// out, as the full-copy pricing built it.
+// out, as the full-copy pricing built it, its backhaul nodes searched by
+// the scan.
 func withCandidateFullCopy(net *topology.Network, c Candidate) (*topology.Network, error) {
 	fromA, okA := dataset.AnchorByName(c.From)
 	toA, okB := dataset.AnchorByName(c.To)
@@ -98,8 +127,8 @@ func withCandidateFullCopy(net *topology.Network, c Candidate) (*topology.Networ
 		Name: fmt.Sprintf("candidate-%s-%s", c.From, c.To),
 		Segments: []topology.Segment{
 			{A: a, B: b, LengthKm: c.LengthKm},
-			{A: a, B: nearestOfCountry(net, fromA), LengthKm: 50},
-			{A: b, B: nearestOfCountry(net, toA), LengthKm: 50},
+			{A: a, B: NearestOfCountryScan(net, fromA), LengthKm: 50},
+			{A: b, B: NearestOfCountryScan(net, toA), LengthKm: 50},
 		},
 		KnownLength: true,
 	})
@@ -165,7 +194,7 @@ func TestRankCandidatesMatchesFullCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		for mi, m := range run.models {
-			got, err := rankCandidates(run.net, m, 150, run.probeA, run.probeB)
+			got, _, err := rankCandidates(run.net, m, 150, run.probeA, run.probeB)
 			if err != nil {
 				t.Fatal(err)
 			}

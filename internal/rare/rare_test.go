@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"gicnet/internal/failure"
@@ -220,6 +221,28 @@ func TestEstimatorWorkerIndependence(t *testing.T) {
 		}
 		if fps[0] != fps[1] || fps[1] != fps[2] {
 			t.Fatalf("%s: fingerprints differ across worker counts: %x", est.EstimatorName(), fps)
+		}
+	}
+}
+
+// TestTailSweepWorkerIndependence: each sweep point bootstraps from its
+// own split stream, so the points come out bit-identical whether their
+// bootstraps run one after another or in parallel.
+func TestTailSweepWorkerIndependence(t *testing.T) {
+	net := testNet()
+	ps := []float64{1e-5, 1e-4, 1e-3, 1e-2}
+	var sweeps [][]TailPoint
+	for _, workers := range []int{1, 2, 4} {
+		cfg := TailConfig{SpacingKm: 150, Trials: 600, Seed: 21, Workers: workers, Estimator: NewIS(0)}
+		pts, err := TailSweep(context.Background(), net, cfg, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps = append(sweeps, pts)
+	}
+	for _, pts := range sweeps[1:] {
+		if !reflect.DeepEqual(pts, sweeps[0]) {
+			t.Fatalf("tail points differ across worker counts:\n%+v\n%+v", pts, sweeps[0])
 		}
 	}
 }

@@ -66,7 +66,8 @@ type TailPoint struct {
 // model and summarises each into a TailPoint. Points derive independent
 // seeds from cfg.Seed (via sim.SweepUniform), so the sweep is reproducible
 // and worker-count independent; the bootstrap streams are split from the
-// same seed under a distinct salt.
+// same seed under a distinct salt, one per point, and the points'
+// bootstraps share the worker budget.
 func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []float64) ([]TailPoint, error) {
 	level := cfg.Level
 	if level <= 0 || level >= 1 {
@@ -98,7 +99,11 @@ func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []
 	}
 	root := xrand.New(cfg.Seed)
 	out := make([]TailPoint, len(pts))
-	for k, pt := range pts {
+	// Each point resamples from its own split stream, so the points
+	// bootstrap in parallel under the worker budget with the intervals
+	// they get one after another.
+	err = sim.ForEach(ctx, len(pts), cfg.Workers, func(k int) error {
+		pt := pts[k]
 		res := pt.Result
 		n := len(res.Outcomes)
 		vals := make([]float64, n)
@@ -114,7 +119,7 @@ func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []
 		rng := root.SplitAt(bootSalt ^ uint64(k))
 		ci, err := stats.WeightedBootstrapCI(vals, ws, level, resamples, &rng)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[k] = TailPoint{
 			P:          pt.P,
@@ -126,6 +131,10 @@ func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []
 			MeanWeight: sumW / float64(n),
 			Estimator:  res.Estimator,
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

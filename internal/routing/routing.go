@@ -27,6 +27,12 @@ type Demand struct {
 	Volume   float64
 }
 
+// ErrBadInput reports a network or death vector that Route cannot index:
+// a nil or invalid network (a segment naming a node that does not exist,
+// for example) or a death vector of the wrong length. The error wraps the
+// cause.
+var ErrBadInput = errors.New("routing: invalid input")
+
 // ErrZeroDemand is returned when a demand matrix carries no positive
 // volume. Every share in this package is a fraction of total demand, so an
 // all-zero (or empty) matrix has no well-defined shares; callers get this
@@ -123,9 +129,18 @@ func (r *Report) StrandedFrac() float64 {
 // Paths are searched over the network's cached graph projection, whose
 // edge IDs are the flattened segments (cable by cable, in segment order),
 // so a Report indexes segments and graph edges alike.
+//
+// A nil network, one that fails Validate, or a death vector of the wrong
+// length is refused with an error wrapping ErrBadInput.
 func Route(net *topology.Network, demands []Demand, cableDead []bool) (*Report, error) {
+	if net == nil {
+		return nil, fmt.Errorf("%w: nil network", ErrBadInput)
+	}
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
+	}
 	if cableDead != nil && len(cableDead) != len(net.Cables) {
-		return nil, errors.New("routing: death vector length mismatch")
+		return nil, fmt.Errorf("%w: death vector length mismatch", ErrBadInput)
 	}
 	gateways := gatewaysByRegion(net)
 	// Each destination region with gateways gets a slot, numbered in

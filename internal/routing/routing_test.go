@@ -74,6 +74,31 @@ func TestRouteDeathVectorValidation(t *testing.T) {
 	}
 }
 
+// TestRouteRefusesBadInput: a segment naming a node the network does not
+// have used to panic with an index out of range inside gatewaysByRegion.
+// Route refuses it, a nil network and a death vector of the wrong length
+// with ErrBadInput, wrapping the cause.
+func TestRouteRefusesBadInput(t *testing.T) {
+	dangling := &topology.Network{
+		Name: "dangling",
+		Nodes: []topology.Node{
+			{Name: "a", Coord: geo.Coord{Lat: 40, Lon: -70}, HasCoord: true},
+			{Name: "b", Coord: geo.Coord{Lat: 50, Lon: -5}, HasCoord: true},
+		},
+		Cables: []topology.Cable{{Name: "c", Segments: []topology.Segment{{A: 0, B: 7, LengthKm: 5000}}}},
+	}
+	rep, err := Route(dangling, DefaultDemands(), nil)
+	if rep != nil || !errors.Is(err, ErrBadInput) || !errors.Is(err, topology.ErrDanglingSegment) {
+		t.Errorf("dangling segment: report %v, err %v; want ErrBadInput wrapping ErrDanglingSegment", rep, err)
+	}
+	if _, err := Route(nil, DefaultDemands(), nil); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil network: err %v, want ErrBadInput", err)
+	}
+	if _, err := Route(subNet(t), DefaultDemands(), make([]bool, 3)); !errors.Is(err, ErrBadInput) {
+		t.Errorf("short death vector: err %v, want ErrBadInput", err)
+	}
+}
+
 func TestRouteTotalFailureStrandsEverything(t *testing.T) {
 	net := subNet(t)
 	dead := make([]bool, len(net.Cables))
