@@ -1,16 +1,17 @@
 # Build / verify targets. `make verify` is the PR gate: tier-1 build+test
-# plus static vetting, the repo-native lint pass (determinism, hot-path
-# allocation discipline, float-comparison hygiene, must-check errors — see
-# internal/lint), a race-detector pass over the concurrent engine (the sim
-# worker pool, parallel sweeps, the failure plan layer, and the shared
-# contraction state in partition/experiments), the statistical verification
+# plus a gofmt check, static vetting, the repo-native lint pass
+# (determinism, hot-path allocation discipline, float-comparison hygiene,
+# must-check errors — see internal/lint), a race-detector pass over the
+# concurrent engine (the sim worker pool, parallel sweeps, the failure plan
+# layer, the shared contraction state in partition/experiments, concurrent
+# core analyses and rare's tail bootstrap), the statistical verification
 # suite (golden regression + model invariants + deterministic replay), and
 # a short fuzz smoke over the IO parser and plan compiler.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test vet lint race verify validate update-golden fuzz-smoke loadtest-smoke crosscompile bench bench-snapshot bench-check
+.PHONY: all build test fmt vet lint race verify validate update-golden fuzz-smoke loadtest-smoke crosscompile bench bench-snapshot bench-check
 
 all: verify
 
@@ -19,6 +20,10 @@ build:
 
 test: build
 	$(GO) test ./...
+
+# Formatting gate: fails, listing the files, when any file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -35,13 +40,14 @@ lint:
 	$(GO) run ./cmd/gicnetlint -root . -tags purego
 
 # The simulation engine and failure plans run concurrently (worker pools,
-# parallel sweeps, shared sync.Once topology caches), and partition and
-# experiments share immutable contraction state across workers — race-check
-# all of them on every PR.
+# parallel sweeps, shared sync.Once topology caches), partition and
+# experiments share immutable contraction state across workers, core runs
+# analyses concurrently over one world, and rare bootstraps tail points
+# through the worker pool — race-check all of them on every PR.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/failure/... ./internal/topology/... ./internal/graph/... ./internal/partition/... ./internal/experiments/... ./internal/serve/... ./internal/crosslayer/...
+	$(GO) test -race ./internal/sim/... ./internal/failure/... ./internal/topology/... ./internal/graph/... ./internal/partition/... ./internal/experiments/... ./internal/serve/... ./internal/crosslayer/... ./internal/core/... ./internal/rare/...
 
-verify: vet lint test race validate loadtest-smoke fuzz-smoke crosscompile
+verify: fmt vet lint test race validate loadtest-smoke fuzz-smoke crosscompile
 
 # Serving smoke: drive the example-workload mix through a fully tiered
 # server and a no-tier baseline and require identical order-independent

@@ -23,13 +23,6 @@ import (
 // Analyzer runs resilience analyses over a generated world.
 type Analyzer struct {
 	World *dataset.World
-
-	// DirectConnectivity forces the connectivity trial loops onto the
-	// full-graph union-find reference path instead of the plan's core
-	// contraction. The two engines are verdict-identical (pinned by the
-	// contracted-direct-parity invariant); the flag exists for that proof
-	// and for benchmarking, not for production use.
-	DirectConnectivity bool
 }
 
 // NewAnalyzer wraps a world.
@@ -49,8 +42,8 @@ type Target string
 // Errors returned by target resolution.
 var ErrEmptyTarget = errors.New("core: target matches no nodes")
 
-// resolve returns the node indices of a target in net.
-func resolve(net *topology.Network, t Target) ([]int, error) {
+// Resolve returns the node indices of a target in net.
+func Resolve(net *topology.Network, t Target) ([]int, error) {
 	s := string(t)
 	var out []int
 	switch {
@@ -100,24 +93,23 @@ func (a *Analyzer) PairConnectivity(ctx context.Context, m failure.Model, spacin
 }
 
 // pairConnectivity is PairConnectivity against an already-compiled plan.
-// The trial loop is sim.PairSurvival: by default each trial answers on the
-// plan's core contraction with the dead-cable bitset as the query mask, so
-// neither the cable→edge projection nor the full-graph union-find runs per
-// trial.
+// The trial loop is sim.PairSurvival: each trial answers on the plan's core
+// contraction with the dead-cable bitset as the query mask, so neither the
+// cable→edge projection nor the full-graph union-find runs per trial.
 func (a *Analyzer) pairConnectivity(ctx context.Context, plan *failure.Plan, trials int, seed uint64, from, to Target) (Connectivity, error) {
 	if trials <= 0 {
 		return Connectivity{}, errors.New("core: trials must be positive")
 	}
 	net := a.World.Submarine
-	fromNodes, err := resolve(net, from)
+	fromNodes, err := Resolve(net, from)
 	if err != nil {
 		return Connectivity{}, err
 	}
-	toNodes, err := resolve(net, to)
+	toNodes, err := Resolve(net, to)
 	if err != nil {
 		return Connectivity{}, err
 	}
-	prob, err := sim.PairSurvival(ctx, plan, trials, seed, nodeIDs(fromNodes), nodeIDs(toNodes), a.DirectConnectivity)
+	prob, err := sim.PairSurvival(ctx, plan, trials, seed, nodeIDs(fromNodes), nodeIDs(toNodes))
 	if err != nil {
 		return Connectivity{}, err
 	}
@@ -165,7 +157,7 @@ type CountryReport struct {
 // partners may be nil.
 func (a *Analyzer) CountryAnalysis(ctx context.Context, m failure.Model, spacingKm float64, trials int, seed uint64, target Target, partners []Target) (*CountryReport, error) {
 	net := a.World.Submarine
-	nodes, err := resolve(net, target)
+	nodes, err := Resolve(net, target)
 	if err != nil {
 		return nil, err
 	}
@@ -238,11 +230,11 @@ type DirectCableSurvival struct {
 // DirectSurvival computes the direct-cable metric between two targets.
 func (a *Analyzer) DirectSurvival(m failure.Model, spacingKm float64, from, to Target) (DirectCableSurvival, error) {
 	net := a.World.Submarine
-	fromNodes, err := resolve(net, from)
+	fromNodes, err := Resolve(net, from)
 	if err != nil {
 		return DirectCableSurvival{}, err
 	}
-	toNodes, err := resolve(net, to)
+	toNodes, err := Resolve(net, to)
 	if err != nil {
 		return DirectCableSurvival{}, err
 	}

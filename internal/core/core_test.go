@@ -49,12 +49,12 @@ func TestResolveTargets(t *testing.T) {
 		{"city:gotham", true},
 	}
 	for _, tt := range tests {
-		nodes, err := resolve(net, tt.target)
+		nodes, err := Resolve(net, tt.target)
 		if (err != nil) != tt.wantErr {
-			t.Errorf("resolve(%q) err = %v, wantErr %v", tt.target, err, tt.wantErr)
+			t.Errorf("Resolve(%q) err = %v, wantErr %v", tt.target, err, tt.wantErr)
 		}
 		if !tt.wantErr && len(nodes) == 0 {
-			t.Errorf("resolve(%q) returned no nodes without error", tt.target)
+			t.Errorf("Resolve(%q) returned no nodes without error", tt.target)
 		}
 	}
 }

@@ -33,11 +33,6 @@ type Config struct {
 	Seed uint64
 	// Workers caps simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// DirectConnectivity forces the country trial loops onto the
-	// full-graph reference engine instead of the core contraction; used by
-	// the contracted-direct-parity invariant (see internal/verify), which
-	// proves both engines produce identical results.
-	DirectConnectivity bool
 }
 
 // DefaultConfig mirrors the paper: 10 trials per point.
@@ -558,7 +553,6 @@ func Countries(ctx context.Context, w *dataset.World, cfg Config, cases []Countr
 	if err != nil {
 		return nil, err
 	}
-	an.DirectConnectivity = cfg.DirectConnectivity
 	states := []struct {
 		name  string
 		model failure.Model

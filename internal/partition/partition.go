@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"gicnet/internal/dataset"
@@ -18,7 +17,6 @@ import (
 	"gicnet/internal/graph"
 	"gicnet/internal/sim"
 	"gicnet/internal/topology"
-	"gicnet/internal/xrand"
 )
 
 // Fragmentation summarises one post-storm partition realisation.
@@ -36,28 +34,14 @@ type Fragmentation struct {
 }
 
 // Analyze computes the fragmentation of a network under a cable-death
-// realisation. It is the exact full-graph reference: labels come from a
-// fresh Components pass over every edge. The Monte Carlo loop in
-// MeanFragmentation produces identical summaries through the plan's core
-// contraction instead.
+// realisation: component labels come from one Components pass over the
+// alive edges.
 func Analyze(net *topology.Network, cableDead []bool) (*Fragmentation, error) {
 	if len(cableDead) != len(net.Cables) {
 		return nil, errors.New("partition: death vector length mismatch")
 	}
 	g := net.Graph()
-	mask := net.AliveMask(cableDead)
-	labels, _ := g.Components(mask)
-	return aggregate(net, cableDead, func(i int) int { return labels[i] }), nil
-}
-
-// aggregate folds one realisation's component labelling into a
-// Fragmentation. labelOf must return a label equal for two nodes exactly
-// when they share a component; the label values themselves are free, which
-// is what lets the contracted union-find (labels are supernode roots) and
-// the full-graph labelling (labels are dense component indices) share this
-// code and produce identical output.
-func aggregate(net *topology.Network, cableDead []bool, labelOf func(i int) int) *Fragmentation {
-	g := net.Graph()
+	labels, _ := g.Components(net.AliveMask(cableDead))
 	// Only nodes with a live cable participate in "components".
 	iso := map[int]bool{}
 	for _, n := range net.UnreachableNodes(cableDead) {
@@ -71,7 +55,7 @@ func aggregate(net *topology.Network, cableDead []bool, labelOf func(i int) int)
 			continue
 		}
 		connected++
-		label := labelOf(i)
+		label := labels[i]
 		compSet[label]++
 		if nd.HasCoord {
 			r := geo.RegionOf(nd.Coord)
@@ -98,92 +82,7 @@ func aggregate(net *topology.Network, cableDead []bool, labelOf func(i int) int)
 	for r, comps := range regionComps {
 		f.RegionSplit[r] = len(comps)
 	}
-	return f
-}
-
-// MeanFragmentation averages fragmentation over Monte Carlo trials.
-func MeanFragmentation(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64) (*Fragmentation, error) {
-	f, _, err := MeanFragmentationEst(net, m, spacingKm, trials, seed, nil)
-	return f, err
-}
-
-// MeanFragmentationEst is MeanFragmentation with an optional rare-event
-// estimator: with est != nil the trial blocks are drawn by the estimator
-// and every per-trial summary is scaled by its likelihood ratio, so the
-// returned means stay unbiased for the plan's own distribution even when
-// the draws are tilted toward catastrophe. The second return is the Kish
-// effective sample size of the weights (trials when est is nil). A nil
-// estimator reproduces MeanFragmentation draw for draw.
-func MeanFragmentationEst(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, est sim.Estimator) (*Fragmentation, float64, error) {
-	if trials <= 0 {
-		return nil, 0, errors.New("partition: trials must be positive")
-	}
-	plan, err := failure.Compile(net, m, spacingKm)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Per-trial components run on the plan's core contraction: the dead
-	// cable bitset is the query mask and only the at-risk frontier is
-	// unioned. aggregate makes the summaries identical to Analyze's (the
-	// contracted union-find roots are a valid labelling), which
-	// TestMeanFragmentationContractedMatchesAnalyze pins trial by trial.
-	cc := plan.Contraction()
-	scratch := net.Graph().NewScratch()
-	root := xrand.New(seed)
-	agg := &Fragmentation{RegionSplit: map[geo.Region]int{}}
-	regionTotals := map[geo.Region]float64{}
-	var comps, largest, isolated float64
-	var sumW, sumW2 float64
-	var batch failure.BatchScratch
-	batch.Grow(plan)
-	var logw []float64
-	if est != nil {
-		logw = make([]float64, failure.MaxBatch)
-	}
-	deadBools := make([]bool, plan.NumCables())
-	for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
-		bn := trials - t0
-		if bn > failure.MaxBatch {
-			bn = failure.MaxBatch
-		}
-		if est != nil {
-			est.SampleBlock(plan, &batch, root, uint64(t0), bn, logw[:bn])
-		} else {
-			plan.SampleBatch(&batch, root, uint64(t0), bn)
-		}
-		for b := 0; b < bn; b++ {
-			w := 1.0
-			if est != nil {
-				w = math.Exp(logw[b])
-			}
-			sumW += w
-			sumW2 += w * w
-			dead := batch.Row(b)
-			dead.Expand(deadBools) // the isolated-node walk still speaks []bool
-			uf := scratch.ComponentsCore(cc, dead)
-			f := aggregate(net, deadBools, func(i int) int {
-				return uf.Find(int(cc.Super(graph.NodeID(i))))
-			})
-			comps += w * float64(f.Components)
-			largest += w * f.LargestFrac
-			isolated += w * float64(f.IsolatedNodes)
-			for r, n := range f.RegionSplit {
-				regionTotals[r] += w * float64(n)
-			}
-		}
-	}
-	n := float64(trials)
-	agg.Components = int(comps/n + 0.5)
-	agg.LargestFrac = largest / n
-	agg.IsolatedNodes = int(isolated/n + 0.5)
-	for r, total := range regionTotals {
-		agg.RegionSplit[r] = int(total/n + 0.5)
-	}
-	ess := n
-	if est != nil && sumW2 > 0 {
-		ess = sumW * sumW / sumW2
-	}
-	return agg, ess, nil
+	return f, nil
 }
 
 // Candidate is a proposed new low-latitude cable.
@@ -470,7 +369,7 @@ func pairSurvival(net *topology.Network, m failure.Model, spacingKm float64, tri
 	if err != nil {
 		return 0, err
 	}
-	return sim.PairSurvival(context.Background(), plan, trials, seed, a, b, false)
+	return sim.PairSurvival(context.Background(), plan, trials, seed, a, b)
 }
 
 // nodeIDsOf is nodesOf as graph node IDs, for the scratch connectivity

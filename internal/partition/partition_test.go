@@ -7,6 +7,7 @@ import (
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
 	"gicnet/internal/topology"
+	"gicnet/internal/xrand"
 )
 
 func world(t *testing.T) *dataset.World {
@@ -65,27 +66,45 @@ func TestAnalyzeLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestMeanFragmentationS1FragmentsMore(t *testing.T) {
+// averageFragmentation averages Analyze over trials realisations of m,
+// trial ti drawn from SplitAt(ti) of seed.
+func averageFragmentation(t *testing.T, net *topology.Network, m failure.Model, trials int, seed uint64) (components, largestFrac, isolated float64) {
+	t.Helper()
+	plan, err := failure.Compile(net, m, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := xrand.New(seed)
+	dead := plan.NewDead()
+	deadBools := make([]bool, plan.NumCables())
+	for ti := 0; ti < trials; ti++ {
+		rng := root.SplitAt(uint64(ti))
+		plan.SampleInto(dead, &rng)
+		dead.Expand(deadBools)
+		f, err := Analyze(net, deadBools)
+		if err != nil {
+			t.Fatal(err)
+		}
+		components += float64(f.Components)
+		largestFrac += f.LargestFrac
+		isolated += float64(f.IsolatedNodes)
+	}
+	n := float64(trials)
+	return components / n, largestFrac / n, isolated / n
+}
+
+func TestFragmentationS1FragmentsMore(t *testing.T) {
 	net := world(t).Submarine
-	s1, err := MeanFragmentation(net, failure.S1(), 150, 12, 5)
-	if err != nil {
-		t.Fatal(err)
+	c1, l1, i1 := averageFragmentation(t, net, failure.S1(), 12, 5)
+	c2, l2, i2 := averageFragmentation(t, net, failure.S2(), 12, 5)
+	if c1 < c2 {
+		t.Errorf("S1 components (%v) should be >= S2 (%v)", c1, c2)
 	}
-	s2, err := MeanFragmentation(net, failure.S2(), 150, 12, 5)
-	if err != nil {
-		t.Fatal(err)
+	if l1 > l2 {
+		t.Errorf("S1 largest frac (%v) should be <= S2 (%v)", l1, l2)
 	}
-	if s1.Components < s2.Components {
-		t.Errorf("S1 components (%d) should be >= S2 (%d)", s1.Components, s2.Components)
-	}
-	if s1.LargestFrac > s2.LargestFrac {
-		t.Errorf("S1 largest frac (%v) should be <= S2 (%v)", s1.LargestFrac, s2.LargestFrac)
-	}
-	if s1.IsolatedNodes <= s2.IsolatedNodes {
-		t.Errorf("S1 isolated (%d) should exceed S2 (%d)", s1.IsolatedNodes, s2.IsolatedNodes)
-	}
-	if _, err := MeanFragmentation(net, failure.S1(), 150, 0, 1); err == nil {
-		t.Error("want trials error")
+	if i1 <= i2 {
+		t.Errorf("S1 isolated (%v) should exceed S2 (%v)", i1, i2)
 	}
 }
 
@@ -130,10 +149,7 @@ func TestCompareAugmentationHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := MeanFragmentation(w.Submarine, failure.S1(), 150, 12, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, before, _ := averageFragmentation(t, w.Submarine, failure.S1(), 12, 9)
 	augmented := w.Submarine
 	for _, c := range cands {
 		from, _ := dataset.AnchorByName(c.From)
@@ -144,13 +160,10 @@ func TestCompareAugmentationHelps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, err := MeanFragmentation(augmented, failure.S1(), 150, 12, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, after, _ := averageFragmentation(t, augmented, failure.S1(), 12, 9)
 	// Adding surviving low-latitude links must not fragment things more.
-	if after.LargestFrac < before.LargestFrac-0.02 {
-		t.Errorf("augmentation reduced largest component: %v -> %v", before.LargestFrac, after.LargestFrac)
+	if after < before-0.02 {
+		t.Errorf("augmentation reduced largest component: %v -> %v", before, after)
 	}
 }
 

@@ -3,7 +3,7 @@
 // (internal/failure.TiltedSampler) and randomised quasi-Monte Carlo driven
 // by an Owen-scrambled Sobol sequence, separately or combined. An
 // Estimator plugs into sim.Config.Estimator, so the whole simulation stack
-// — sweeps, arenas, fragmentation — can push the uniform-probability axis
+// — runs, sweeps and arenas — can push the uniform-probability axis
 // of the paper's Figure 6 down to p = 1e-6, where plain Monte Carlo would
 // need billions of trials to see a single interesting realisation.
 package rare

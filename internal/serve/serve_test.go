@@ -326,14 +326,14 @@ func TestRequestValidation(t *testing.T) {
 	srv := newServer(t, serve.Config{Shards: 1, WorkersPerShard: 1, MaxTrials: 4096})
 	ctx := context.Background()
 	bad := []serve.Request{
-		{WorldSeed: 777},                         // unpinned world
-		{Network: "carrier-pigeon", P: 0.1},      // unknown network
-		{Model: "meteor", P: 0.1},                // unknown model
-		{P: 1.5},                                 // p out of range
-		{P: -0.1},                                // p out of range
-		{P: 0.1, SpacingKm: -5},                  // bad spacing
-		{P: 0.1, Trials: 1 << 20},                // over MaxTrials
-		{P: 0.1, Trials: -3},                     // negative trials
+		{WorldSeed: 777},                          // unpinned world
+		{Network: "carrier-pigeon", P: 0.1},       // unknown network
+		{Model: "meteor", P: 0.1},                 // unknown model
+		{P: 1.5},                                  // p out of range
+		{P: -0.1},                                 // p out of range
+		{P: 0.1, SpacingKm: -5},                   // bad spacing
+		{P: 0.1, Trials: 1 << 20},                 // over MaxTrials
+		{P: 0.1, Trials: -3},                      // negative trials
 		{P: 0.1, Estimator: "antithetic-psychic"}, // unknown estimator
 	}
 	for i, req := range bad {

@@ -139,13 +139,14 @@ func TestForEachCancellationBeforeStart(t *testing.T) {
 // TestArenaRunPlanMatchesRunPlan proves the serving layer's execution
 // primitive is bit-identical to the package-level engine: running a shared
 // compiled plan through an arena yields the same fingerprint as RunPlan
-// and as a full sim.Run of the same configuration.
+// and as a full sim.Run of the same configuration, also when the arena's
+// worker slots grow and shrink from call to call.
 func TestArenaRunPlanMatchesRunPlan(t *testing.T) {
 	net := testNet()
 	if err := net.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Model: failure.Uniform{P: 0.2}, SpacingKm: 150, Trials: 96, Seed: 77, Workers: 1}
+	cfg := Config{Model: failure.Uniform{P: 0.2}, SpacingKm: 150, Trials: 200, Seed: 77, Workers: 1}
 	plan, err := failure.Compile(net, cfg.Model, cfg.SpacingKm)
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +156,16 @@ func TestArenaRunPlanMatchesRunPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewArena()
-	for i := 0; i < 3; i++ { // repeated reuse must not drift
-		got, err := a.RunPlan(context.Background(), plan, cfg)
+	for i, workers := range []int{1, 4, 2, 1} { // repeated reuse must not drift
+		c := cfg
+		c.Workers = workers
+		got, err := a.RunPlan(context.Background(), plan, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Fingerprint() != want.Fingerprint() {
-			t.Fatalf("arena RunPlan fingerprint %016x != RunPlan %016x (iteration %d)",
-				got.Fingerprint(), want.Fingerprint(), i)
+			t.Fatalf("arena RunPlan fingerprint %016x != RunPlan %016x (iteration %d, workers %d)",
+				got.Fingerprint(), want.Fingerprint(), i, workers)
 		}
 	}
 	direct, err := Run(context.Background(), net, cfg)

@@ -12,10 +12,11 @@
 // steady-state trial loop performs zero allocations. Sweeps go further:
 // each sweep worker owns an Arena — a reusable compiled plan, bitset, and
 // result storage — so a full figure sweep allocates only its output.
-// Trials are dispatched by an atomic counter rather than a feeder channel —
-// there is no feeder goroutine to deadlock when workers stop early, and an
-// error (now only possible at compile/validate time) can never strand a
-// blocked send.
+// Every trial loop goes through forEachBlock, which dispatches trial blocks
+// through ForEachWorker, the package's one worker pool, by an atomic
+// counter rather than a feeder channel — there is no feeder goroutine to
+// deadlock when workers stop early, and an error (now only possible at
+// compile/validate time) can never strand a blocked send.
 package sim
 
 import (
@@ -257,37 +258,32 @@ func RunPlan(ctx context.Context, plan *failure.Plan, cfg Config) (*Result, erro
 	if cfg.CrossLayer != nil {
 		cross = make([]crosslayer.Score, cfg.Trials)
 	}
-	if err := runPlanInto(ctx, plan, cfg, res, outcomes, nil, cross, nil); err != nil {
+	scr := make([]blockScratch, blockSlots(cfg.Workers, cfg.Trials))
+	if err := runPlanInto(ctx, plan, cfg, res, outcomes, cross, scr); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // runPlanInto is the trial engine writing into caller-owned memory: res is
-// overwritten, outcomes (length cfg.Trials) backs res.Outcomes, and batch —
-// when non-nil — is the serial path's trial-block scratch. When
-// cfg.CrossLayer is set, cross (length cfg.Trials) backs res.Cross and cs —
-// when non-nil — is the serial path's cross-layer scratch. Trials run in
+// overwritten, outcomes (length cfg.Trials) backs res.Outcomes, cross backs
+// res.Cross (length cfg.Trials when cfg.CrossLayer is set, else nil), and
+// scr holds one scratch per worker slot (see blockSlots). Trials run in
 // blocks of failure.MaxBatch, but trial ti's RNG is still split from the
 // seed by ti alone, so the result is identical for every worker count and
 // bit-identical to the historical one-trial-at-a-time loop.
-func runPlanInto(ctx context.Context, plan *failure.Plan, cfg Config, res *Result, outcomes []failure.Outcome, batch *failure.BatchScratch, cross []crosslayer.Score, cs *crosslayer.Scratch) error {
+func runPlanInto(ctx context.Context, plan *failure.Plan, cfg Config, res *Result, outcomes []failure.Outcome, cross []crosslayer.Score, scr []blockScratch) error {
 	if cfg.Trials <= 0 {
 		return errors.New("sim: trials must be positive")
 	}
 	idx := cfg.CrossLayer
-	if idx != nil && idx.Network() != plan.Network() {
-		return errors.New("sim: cross-layer index compiled for a different network")
-	}
-	blocks := (cfg.Trials + failure.MaxBatch - 1) / failure.MaxBatch
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// A block is the dispatch unit, so extra workers beyond the block count
-	// would only idle.
-	if workers > blocks {
-		workers = blocks
+	if idx != nil {
+		if idx.Network() != plan.Network() {
+			return errors.New("sim: cross-layer index compiled for a different network")
+		}
+		for i := range scr {
+			scr[i].cross.Grow(idx)
+		}
 	}
 
 	// The estimator path carries per-trial log weights; the plain path
@@ -298,84 +294,14 @@ func runPlanInto(ctx context.Context, plan *failure.Plan, cfg Config, res *Resul
 	if est != nil {
 		logw = make([]float64, cfg.Trials)
 	}
-
-	if workers == 1 {
-		// Keep the RNG root on the stack: the serial path is the inner loop
-		// of arena sweeps and, given a caller-owned scratch, must not
-		// allocate.
-		root := *xrand.New(cfg.Seed)
-		var local failure.BatchScratch
-		if batch == nil {
-			batch = &local
-		}
-		batch.Grow(plan)
+	err := forEachBlock(ctx, plan, cfg.Trials, cfg.Seed, est, logw, scr, func(s *blockScratch, t0, n int) {
+		plan.EvaluateBatch(&s.batch, n, outcomes[t0:t0+n])
 		if idx != nil {
-			var localCS crosslayer.Scratch
-			if cs == nil {
-				cs = &localCS
-			}
-			cs.Grow(idx)
+			idx.ScoreBatch(&s.batch, n, cross[t0:t0+n], &s.cross)
 		}
-		for t0 := 0; t0 < cfg.Trials; t0 += failure.MaxBatch {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			n := cfg.Trials - t0
-			if n > failure.MaxBatch {
-				n = failure.MaxBatch
-			}
-			if est != nil {
-				est.SampleBlock(plan, batch, &root, uint64(t0), n, logw[t0:t0+n])
-			} else {
-				plan.SampleBatch(batch, &root, uint64(t0), n)
-			}
-			plan.EvaluateBatch(batch, n, outcomes[t0:t0+n])
-			if idx != nil {
-				idx.ScoreBatch(batch, n, cross[t0:t0+n], cs)
-			}
-		}
-	} else {
-		// Workers claim block indices from an atomic counter; each owns a
-		// reusable block scratch, so the loop allocates nothing per block.
-		root := xrand.New(cfg.Seed)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scratch failure.BatchScratch
-				scratch.Grow(plan)
-				var crossScratch crosslayer.Scratch
-				if idx != nil {
-					crossScratch.Grow(idx)
-				}
-				for {
-					bi := int(next.Add(1)) - 1
-					if bi >= blocks || ctx.Err() != nil {
-						return
-					}
-					t0 := bi * failure.MaxBatch
-					n := cfg.Trials - t0
-					if n > failure.MaxBatch {
-						n = failure.MaxBatch
-					}
-					if est != nil {
-						est.SampleBlock(plan, &scratch, root, uint64(t0), n, logw[t0:t0+n])
-					} else {
-						plan.SampleBatch(&scratch, root, uint64(t0), n)
-					}
-					plan.EvaluateBatch(&scratch, n, outcomes[t0:t0+n])
-					if idx != nil {
-						idx.ScoreBatch(&scratch, n, cross[t0:t0+n], &crossScratch)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 
 	*res = Result{
@@ -384,9 +310,7 @@ func runPlanInto(ctx context.Context, plan *failure.Plan, cfg Config, res *Resul
 		SpacingKm:  plan.SpacingKm(),
 		Outcomes:   outcomes,
 		LogWeights: logw,
-	}
-	if idx != nil {
-		res.Cross = cross
+		Cross:      cross,
 	}
 	if est != nil {
 		res.Estimator = est.EstimatorName()
@@ -398,16 +322,65 @@ func runPlanInto(ctx context.Context, plan *failure.Plan, cfg Config, res *Resul
 	return nil
 }
 
-// Arena is per-worker reusable state for repeated runs: a compiled plan, a
-// trial-block scratch, and result storage, all recycled call after call so
-// steady-state sweep cells allocate nothing. An Arena is not safe for
-// concurrent use — give each worker its own. The zero value is ready.
+// blockScratch is one worker slot's trial-block storage: a copy of the
+// run's RNG root, the drawn realisations and the cross-layer scorer's
+// scratch. A slot is owned by one goroutine at a time (see ForEachWorker),
+// so blocks allocate nothing, and the root sits in the slot rather than in
+// a heap cell of its own.
+type blockScratch struct {
+	root  xrand.Source
+	batch failure.BatchScratch
+	cross crosslayer.Scratch
+}
+
+// blockSlots is the worker-slot count of a trials-long run: the workers
+// budget (0 means GOMAXPROCS) clamped to the block count, since a block is
+// the dispatch unit and extra workers would only idle.
+func blockSlots(workers, trials int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, (trials+failure.MaxBatch-1)/failure.MaxBatch)
+}
+
+// forEachBlock runs every trial loop in this package. It draws trials
+// [0, trials) in failure.MaxBatch blocks — trial t from root.SplitAt(t) of
+// seed, or from est when non-nil, which writes the trials' log weights
+// into logw — dispatches the blocks through ForEachWorker over len(scr)
+// worker slots, and hands each drawn block (first trial t0, n trials) to
+// score on the slot that owns its scratch. A trial's realisation depends
+// only on (plan, seed, t), never on the slot count, so score sees the same
+// rows whatever the parallelism.
+func forEachBlock(ctx context.Context, plan *failure.Plan, trials int, seed uint64, est Estimator, logw []float64, scr []blockScratch, score func(s *blockScratch, t0, n int)) error {
+	for i := range scr {
+		scr[i].root = *xrand.New(seed)
+		scr[i].batch.Grow(plan)
+	}
+	blocks := (trials + failure.MaxBatch - 1) / failure.MaxBatch
+	return ForEachWorker(ctx, blocks, len(scr), func(w, bi int) error {
+		s := &scr[w]
+		t0 := bi * failure.MaxBatch
+		n := min(trials-t0, failure.MaxBatch)
+		if est != nil {
+			est.SampleBlock(plan, &s.batch, &s.root, uint64(t0), n, logw[t0:t0+n])
+		} else {
+			plan.SampleBatch(&s.batch, &s.root, uint64(t0), n)
+		}
+		score(s, t0, n)
+		return nil
+	})
+}
+
+// Arena is per-worker reusable state for repeated runs: a compiled plan,
+// trial-block scratch per worker slot, and result storage, all recycled
+// call after call so steady-state sweep cells allocate nothing. An Arena
+// is not safe for concurrent use — give each worker its own. The zero
+// value is ready.
 type Arena struct {
 	plan     failure.Plan
-	batch    failure.BatchScratch
+	scratch  []blockScratch // one per worker slot, serial and parallel runs alike
 	outcomes []failure.Outcome
 	cross    []crosslayer.Score
-	crossScr crosslayer.Scratch
 	res      Result
 	uniforms map[float64]failure.Model // memoized boxed sweep models
 
@@ -453,6 +426,15 @@ func (a *Arena) RunModel(ctx context.Context, net *topology.Network, cfg Config)
 	return &a.res, nil
 }
 
+// slots returns the arena's block scratch sized for cfg's worker slots.
+func (a *Arena) slots(cfg Config) []blockScratch {
+	n := blockSlots(cfg.Workers, cfg.Trials)
+	if len(a.scratch) < n {
+		a.scratch = append(a.scratch, make([]blockScratch, n-len(a.scratch))...)
+	}
+	return a.scratch[:n]
+}
+
 // crossBuf returns the arena's cross-layer score buffer sized for cfg, or
 // nil when the run carries no index.
 func (a *Arena) crossBuf(cfg Config) []crosslayer.Score {
@@ -483,7 +465,7 @@ func (a *Arena) RunPlan(ctx context.Context, plan *failure.Plan, cfg Config) (*R
 	if cap(a.outcomes) < cfg.Trials {
 		a.outcomes = make([]failure.Outcome, cfg.Trials)
 	}
-	if err := runPlanInto(ctx, plan, cfg, &a.res, a.outcomes[:cfg.Trials], &a.batch, a.crossBuf(cfg), &a.crossScr); err != nil {
+	if err := runPlanInto(ctx, plan, cfg, &a.res, a.outcomes[:cfg.Trials], a.crossBuf(cfg), a.slots(cfg)); err != nil {
 		return nil, err
 	}
 	return &a.res, nil
@@ -495,7 +477,7 @@ func (a *Arena) runInto(ctx context.Context, net *topology.Network, cfg Config, 
 	if err := failure.CompileInto(&a.plan, net, cfg.Model, cfg.SpacingKm); err != nil {
 		return err
 	}
-	return runPlanInto(ctx, &a.plan, cfg, res, outcomes, &a.batch, cross, &a.crossScr)
+	return runPlanInto(ctx, &a.plan, cfg, res, outcomes, cross, a.slots(cfg))
 }
 
 // ForEach runs fn(0), ..., fn(n-1) across at most workers goroutines
@@ -571,64 +553,34 @@ func ForEachWorker(ctx context.Context, n, workers int, fn func(worker, i int) e
 // realisations, trial ti seeded by SplitAt(ti) from seed exactly like Run,
 // each tested for any surviving path between the sets. It is the shared
 // trial loop behind the country-connectivity analysis and the partition
-// layer's probe survival.
+// layer's probe survival, and runs on one worker: its callers spread pairs
+// across their worker budget instead.
 //
-// By default each trial is answered on the plan's core contraction — the
-// dead CABLE bitset is the query mask, so the per-trial cable→edge
-// projection and the full-graph union-find both disappear. direct=true
-// forces the full-graph reference path (edge projection + ComponentsBits);
-// both engines return identical verdicts trial for trial, which the
-// contracted-direct-parity invariant and the differential tests pin.
-func PairSurvival(ctx context.Context, plan *failure.Plan, trials int, seed uint64, from, to []graph.NodeID, direct bool) (float64, error) {
+// Each trial is answered on the plan's core contraction — the dead CABLE
+// bitset is the query mask, so neither the per-trial cable→edge projection
+// nor the full-graph union-find runs. internal/verify holds its answers
+// bit for bit to a full-graph oracle.
+func PairSurvival(ctx context.Context, plan *failure.Plan, trials int, seed uint64, from, to []graph.NodeID) (float64, error) {
 	if trials <= 0 {
 		return 0, errors.New("sim: trials must be positive")
 	}
 	if len(from) == 0 || len(to) == 0 {
 		return 0, errors.New("sim: empty connectivity node set")
 	}
-	net := plan.Network()
-	scratch := net.Graph().NewScratch()
-	var batch failure.BatchScratch
-	batch.Grow(plan)
-	root := *xrand.New(seed)
+	cc := plan.Contraction()
+	fromSupers := cc.SupersOf(make([]int32, 0, len(from)), from)
+	toSupers := cc.SupersOf(make([]int32, 0, len(to)), to)
+	scratch := plan.Network().Graph().NewScratch()
 	survived := 0
-	if direct {
-		var deadEdges graph.Bitset
-		for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			n := trials - t0
-			if n > failure.MaxBatch {
-				n = failure.MaxBatch
-			}
-			plan.SampleBatch(&batch, &root, uint64(t0), n)
-			for b := 0; b < n; b++ {
-				deadEdges = net.DeadEdgeBitsInto(deadEdges, batch.Row(b))
-				if scratch.AnyConnectedBits(deadEdges, from, to) {
-					survived++
-				}
+	err := forEachBlock(ctx, plan, trials, seed, nil, nil, make([]blockScratch, 1), func(s *blockScratch, _, n int) {
+		for b := 0; b < n; b++ {
+			if scratch.AnyConnectedSupers(cc, s.batch.Row(b), fromSupers, toSupers) {
+				survived++
 			}
 		}
-	} else {
-		cc := plan.Contraction()
-		fromSupers := cc.SupersOf(nil, from)
-		toSupers := cc.SupersOf(nil, to)
-		for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			n := trials - t0
-			if n > failure.MaxBatch {
-				n = failure.MaxBatch
-			}
-			plan.SampleBatch(&batch, &root, uint64(t0), n)
-			for b := 0; b < n; b++ {
-				if scratch.AnyConnectedSupers(cc, batch.Row(b), fromSupers, toSupers) {
-					survived++
-				}
-			}
-		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	return float64(survived) / float64(trials), nil
 }

@@ -1,14 +1,11 @@
 package verify
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"gicnet/internal/core"
 	"gicnet/internal/dataset"
-	"gicnet/internal/experiments"
 	"gicnet/internal/failure"
 	"gicnet/internal/graph"
 	"gicnet/internal/sim"
@@ -397,57 +394,6 @@ func checkPlanMatchesDirectPath(w *dataset.World, seed uint64) Result {
 		}
 	}
 	return pass(name, "plan sampling and evaluation bit-identical to the direct path on all networks")
-}
-
-// checkContractedDirectParity proves the two connectivity engines are
-// interchangeable at the experiment level: the Figure 6/7 sweep and the
-// country-connectivity analysis must produce identical result fingerprints
-// whether the trial loops run on the plan's core contraction (the default)
-// or the full-graph union-find reference path, at worker budgets 1 and 4.
-// Equal fingerprints across the 2x2 engine-by-workers matrix mean every
-// number in those experiments is byte-identical — the contraction is a pure
-// performance transform.
-func checkContractedDirectParity(w *dataset.World, seed uint64) Result {
-	const name = "contracted-direct-parity"
-	ctx := context.Background()
-	cases := []experiments.CountryCase{
-		{Target: "us", Partners: []core.Target{"region:europe", "br"}},
-		{Target: "au", Partners: []core.Target{"nz", "sg"}},
-	}
-	var wantFig, wantCountry uint64
-	runs := 0
-	for _, workers := range []int{1, 4} {
-		for _, direct := range []bool{false, true} {
-			cfg := experiments.Config{Trials: 4, Seed: seed, Workers: workers, DirectConnectivity: direct}
-			fig, err := experiments.Fig67(ctx, w, cfg)
-			if err != nil {
-				return fail(name, "fig67 workers=%d direct=%v: %v", workers, direct, err)
-			}
-			figFP, err := jsonFingerprint(fig)
-			if err != nil {
-				return fail(name, "fig67 fingerprint: %v", err)
-			}
-			country, err := experiments.Countries(ctx, w, cfg, cases)
-			if err != nil {
-				return fail(name, "countries workers=%d direct=%v: %v", workers, direct, err)
-			}
-			countryFP, err := jsonFingerprint(country)
-			if err != nil {
-				return fail(name, "countries fingerprint: %v", err)
-			}
-			if runs == 0 {
-				wantFig, wantCountry = figFP, countryFP
-			} else if figFP != wantFig || countryFP != wantCountry {
-				return fail(name,
-					"workers=%d direct=%v: fingerprints fig67=%016x country=%016x diverge from fig67=%016x country=%016x",
-					workers, direct, figFP, countryFP, wantFig, wantCountry)
-			}
-			runs++
-		}
-	}
-	return pass(name,
-		"fig6/7 and country sweeps fingerprint-identical across engines {contracted,direct} x workers {1,4} (fig67=%016x, country=%016x)",
-		wantFig, wantCountry)
 }
 
 // checkSamplerEquivalence is the old-vs-new sampler distribution proof: the
