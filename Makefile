@@ -100,7 +100,7 @@ fuzz-smoke:
 # traffic routing) and world set-up (the three network generators and the
 # cross-layer index compile).
 bench:
-	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|BitsetEvaluate|BitsetKernels|Crosslayer|FullScenario|RecoveryPlanning|TopologyAugmentation|TrafficRouting|WorldGeneration|CrosslayerCompile' -benchmem .
+	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|CountryConnectivityFigures|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|BitsetEvaluate|BitsetKernels|Crosslayer|FullScenario|RecoveryPlanning|TopologyAugmentation|TrafficRouting|WorldGeneration|CrosslayerCompile' -benchmem .
 
 # Dated JSON snapshot of the full benchmark suite (see cmd/benchdiff).
 bench-snapshot:

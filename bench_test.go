@@ -164,6 +164,24 @@ func BenchmarkCountryConnectivity(b *testing.B) {
 	}
 }
 
+// BenchmarkCountryConnectivityFigures runs the country analysis at the
+// figures workload's budget: Trials 80, which is 800 trials per partner
+// pair. BenchmarkCountryConnectivity keeps its 20 per pair, so older
+// snapshots still compare.
+func BenchmarkCountryConnectivityFigures(b *testing.B) {
+	w := benchWorld(b)
+	ctx := context.Background()
+	cases := experiments.DefaultCountryCases()
+	cfg := experiments.Config{Trials: 80, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Countries(ctx, w, cfg, cases); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSystemsResilience(b *testing.B) {
 	w := benchWorld(b)
 	b.ResetTimer()

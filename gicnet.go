@@ -227,11 +227,14 @@ func AnalyzeSystems(w *World) (*InfraReport, error) { return infra.BuildReport(w
 // RecommendBridges proposes low-latitude cables that improve probeA-probeB
 // survivability under the model (§5.1).
 //
-// Candidates are pre-ranked by pricing each one on a network holding only
-// the candidate cable and its four nodes, so the model must price a cable
-// from that cable's own segments and nodes. Every model of this package
-// does; a custom model that reads other cables, or the cable's index,
-// would rank the candidates differently.
+// Every candidate is priced exactly from one base run of trials trials:
+// its benefit is its survival probability times the share of trials in
+// which the probe pair is cut and the cable, with its landings, would join
+// the two sides. Survival is priced on a network holding only the
+// candidate cable and its four nodes, so the model must price a cable from
+// that cable's own segments and nodes. Every model of this package does; a
+// custom model that reads other cables, or the cable's index, would price
+// the candidates differently.
 func RecommendBridges(w *World, m FailureModel, spacingKm float64, trials int, seed uint64, n int, probeA, probeB string) ([]BridgeCandidate, error) {
 	return partition.Recommend(w, m, spacingKm, trials, seed, n, probeA, probeB)
 }

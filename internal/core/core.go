@@ -42,28 +42,35 @@ type Target string
 // Errors returned by target resolution.
 var ErrEmptyTarget = errors.New("core: target matches no nodes")
 
-// Resolve returns the node indices of a target in net.
-func Resolve(net *topology.Network, t Target) ([]int, error) {
+// Match returns the target's per-node membership test, the one target
+// grammar: a region target holds the located nodes of its region, a city
+// target the nodes whose name ("<cc>-<city>-<n>") contains "-<city>-", and
+// any other target the nodes of that country code. Resolve applies it to a
+// network's nodes; the partition layer also applies it to the landings a
+// candidate cable would add.
+func (t Target) Match() func(*topology.Node) bool {
 	s := string(t)
-	var out []int
 	switch {
 	case strings.HasPrefix(s, "region:"):
 		want := geo.Region(strings.TrimPrefix(s, "region:"))
-		for i, nd := range net.Nodes {
-			if nd.HasCoord && geo.RegionOf(nd.Coord) == want {
-				out = append(out, i)
-			}
-		}
+		return func(nd *topology.Node) bool { return nd.HasCoord && geo.RegionOf(nd.Coord) == want }
 	case strings.HasPrefix(s, "city:"):
-		city := strings.TrimPrefix(s, "city:")
-		for i, nd := range net.Nodes {
-			// Node names are "<cc>-<city>-<n>".
-			if strings.Contains(nd.Name, "-"+city+"-") {
-				out = append(out, i)
-			}
-		}
+		part := "-" + strings.TrimPrefix(s, "city:") + "-"
+		return func(nd *topology.Node) bool { return strings.Contains(nd.Name, part) }
 	default:
-		out = net.NodesOfCountry(s)
+		return func(nd *topology.Node) bool { return nd.Country == s }
+	}
+}
+
+// Resolve returns the node indices of a target in net; a target that
+// matches no node is an ErrEmptyTarget.
+func Resolve(net *topology.Network, t Target) ([]int, error) {
+	has := t.Match()
+	var out []int
+	for i := range net.Nodes {
+		if has(&net.Nodes[i]) {
+			out = append(out, i)
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrEmptyTarget, t)
@@ -84,19 +91,8 @@ type Connectivity struct {
 
 // PairConnectivity estimates the probability that from and to remain
 // connected in the submarine network under the model at the given spacing.
+// The trial loop is sim.PairSurvival asked about one pair.
 func (a *Analyzer) PairConnectivity(ctx context.Context, m failure.Model, spacingKm float64, trials int, seed uint64, from, to Target) (Connectivity, error) {
-	plan, err := failure.Compile(a.World.Submarine, m, spacingKm)
-	if err != nil {
-		return Connectivity{}, err
-	}
-	return a.pairConnectivity(ctx, plan, trials, seed, from, to)
-}
-
-// pairConnectivity is PairConnectivity against an already-compiled plan.
-// The trial loop is sim.PairSurvival: each trial answers on the plan's core
-// contraction with the dead-cable bitset as the query mask, so neither the
-// cable→edge projection nor the full-graph union-find runs per trial.
-func (a *Analyzer) pairConnectivity(ctx context.Context, plan *failure.Plan, trials int, seed uint64, from, to Target) (Connectivity, error) {
 	if trials <= 0 {
 		return Connectivity{}, errors.New("core: trials must be positive")
 	}
@@ -109,15 +105,15 @@ func (a *Analyzer) pairConnectivity(ctx context.Context, plan *failure.Plan, tri
 	if err != nil {
 		return Connectivity{}, err
 	}
-	prob, err := sim.PairSurvival(ctx, plan, trials, seed, nodeIDs(fromNodes), nodeIDs(toNodes))
+	plan, err := failure.Compile(net, m, spacingKm)
 	if err != nil {
 		return Connectivity{}, err
 	}
-	return Connectivity{
-		From: from, To: to,
-		SurvivalProb: prob,
-		Trials:       trials,
-	}, nil
+	probs, err := sim.PairSurvival(ctx, plan, trials, seed, 1, []sim.Pair{{From: nodeIDs(fromNodes), To: nodeIDs(toNodes)}})
+	if err != nil {
+		return Connectivity{}, err
+	}
+	return Connectivity{From: from, To: to, SurvivalProb: probs[0], Trials: trials}, nil
 }
 
 func nodeIDs(xs []int) []graph.NodeID {
@@ -153,47 +149,111 @@ type CountryReport struct {
 	Partners []Connectivity
 }
 
-// CountryAnalysis builds a CountryReport for a target under a model.
-// partners may be nil.
-func (a *Analyzer) CountryAnalysis(ctx context.Context, m failure.Model, spacingKm float64, trials int, seed uint64, target Target, partners []Target) (*CountryReport, error) {
-	net := a.World.Submarine
-	nodes, err := Resolve(net, target)
-	if err != nil {
-		return nil, err
-	}
-	rep := &CountryReport{Target: target, Model: m.Name(), IsolationProb: 1}
-	for _, ci := range net.CablesTouching(nodes) {
-		p, err := failure.CableDeathProb(net, m, spacingKm, ci)
-		if err != nil {
-			return nil, err
-		}
-		band, _ := net.CableBand(ci)
-		rep.Cables = append(rep.Cables, CableFate{
-			Name:      net.Cables[ci].Name,
-			LengthKm:  net.Cables[ci].LengthKm(),
-			Band:      band,
-			DeathProb: p,
-		})
-		rep.ExpectedSurvivors += 1 - p
-		rep.IsolationProb *= p
-	}
-	sort.Slice(rep.Cables, func(i, j int) bool { return rep.Cables[i].DeathProb > rep.Cables[j].DeathProb })
-	if len(partners) > 0 {
-		// One compiled plan (and its cached contraction) serves every
-		// partner pair.
-		plan, err := failure.Compile(net, m, spacingKm)
-		if err != nil {
-			return nil, err
-		}
-		for _, partner := range partners {
-			c, err := a.pairConnectivity(ctx, plan, trials, seed, target, partner)
+// CountryCase is one row of the country analysis: a target and the
+// partners whose connectivity to it is estimated.
+type CountryCase struct {
+	Target   Target
+	Partners []Target
+}
+
+// CountryCases is a set of country cases with every distinct target
+// resolved once against the submarine network, ready to be reported under
+// any number of compiled plans.
+type CountryCases struct {
+	net   *topology.Network
+	cases []CountryCase
+	nodes map[Target][]int
+}
+
+// ResolveCountryCases resolves every target and partner of cases once.
+func (a *Analyzer) ResolveCountryCases(cases []CountryCase) (*CountryCases, error) {
+	cs := &CountryCases{net: a.World.Submarine, cases: cases, nodes: map[Target][]int{}}
+	for _, c := range cases {
+		for _, t := range append([]Target{c.Target}, c.Partners...) {
+			if _, ok := cs.nodes[t]; ok {
+				continue
+			}
+			nodes, err := Resolve(cs.net, t)
 			if err != nil {
 				return nil, err
 			}
-			rep.Partners = append(rep.Partners, c)
+			cs.nodes[t] = nodes
 		}
 	}
-	return rep, nil
+	return cs, nil
+}
+
+// Reports builds one CountryReport per case under plan, which must be
+// compiled for the submarine network. Each cable's death probability is
+// read from the plan, and every partner pair of every case is answered
+// from one shared trial set (sim.PairSurvival over trials trials of seed,
+// spread over the workers budget, 0 meaning GOMAXPROCS), so the reports
+// do not depend on the budget.
+func (cs *CountryCases) Reports(ctx context.Context, plan *failure.Plan, trials int, seed uint64, workers int) ([]*CountryReport, error) {
+	net := cs.net
+	if plan.Network() != net {
+		return nil, errors.New("core: plan compiled for a different network")
+	}
+	reps := make([]*CountryReport, len(cs.cases))
+	var pairs []sim.Pair
+	for i, c := range cs.cases {
+		nodes := cs.nodes[c.Target]
+		rep := &CountryReport{Target: c.Target, Model: plan.ModelName(), IsolationProb: 1}
+		for _, ci := range net.CablesTouching(nodes) {
+			p := plan.DeathProb(ci)
+			band, _ := net.CableBand(ci)
+			rep.Cables = append(rep.Cables, CableFate{
+				Name:      net.Cables[ci].Name,
+				LengthKm:  net.Cables[ci].LengthKm(),
+				Band:      band,
+				DeathProb: p,
+			})
+			rep.ExpectedSurvivors += 1 - p
+			rep.IsolationProb *= p
+		}
+		sort.Slice(rep.Cables, func(i, j int) bool { return rep.Cables[i].DeathProb > rep.Cables[j].DeathProb })
+		for _, partner := range c.Partners {
+			pairs = append(pairs, sim.Pair{From: nodeIDs(nodes), To: nodeIDs(cs.nodes[partner])})
+		}
+		reps[i] = rep
+	}
+	if len(pairs) == 0 {
+		return reps, nil
+	}
+	if trials <= 0 {
+		return nil, errors.New("core: trials must be positive")
+	}
+	probs, err := sim.PairSurvival(ctx, plan, trials, seed, workers, pairs)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cs.cases {
+		for _, partner := range c.Partners {
+			reps[i].Partners = append(reps[i].Partners, Connectivity{
+				From: c.Target, To: partner, SurvivalProb: probs[0], Trials: trials,
+			})
+			probs = probs[1:]
+		}
+	}
+	return reps, nil
+}
+
+// CountryAnalysis builds a CountryReport for a target under a model: the
+// one-case call of ResolveCountryCases and Reports. partners may be nil.
+func (a *Analyzer) CountryAnalysis(ctx context.Context, m failure.Model, spacingKm float64, trials int, seed uint64, target Target, partners []Target) (*CountryReport, error) {
+	cs, err := a.ResolveCountryCases([]CountryCase{{Target: target, Partners: partners}})
+	if err != nil {
+		return nil, err
+	}
+	plan, err := failure.Compile(a.World.Submarine, m, spacingKm)
+	if err != nil {
+		return nil, err
+	}
+	reps, err := cs.Reports(ctx, plan, trials, seed, 1)
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }
 
 // SurvivingCables lists the cables of a target expected to survive (death

@@ -518,10 +518,7 @@ func (r *Fig9Result) Render(w io.Writer) error {
 // ---------------------------------------------------------------------
 
 // CountryCase defines one row of the country analysis.
-type CountryCase struct {
-	Target   core.Target
-	Partners []core.Target
-}
+type CountryCase = core.CountryCase
 
 // DefaultCountryCases mirrors the paper's §4.3.4 walkthrough.
 func DefaultCountryCases() []CountryCase {
@@ -544,12 +541,18 @@ type CountryResult struct {
 }
 
 // Countries runs the country analysis under S1 and S2 at 150 km spacing.
-// The (state, case) reports are independent — every pair loop derives its
-// trial RNGs from cfg.Seed alone — so they fan out across the cfg.Workers
-// budget; results land at their spec index, keeping report order (and the
-// golden snapshot) identical to the serial loop.
+// Every distinct target is resolved once, each state compiles one plan,
+// and all partner pairs of a state are answered from one draw of
+// cfg.Trials*10 trials (core.CountryCases.Reports). The two states fan out
+// over the cfg.Workers budget and the rest of the budget splits each
+// state's trial blocks; every trial derives its RNG from cfg.Seed alone,
+// so the reports (and the golden snapshot) do not depend on the budget.
 func Countries(ctx context.Context, w *dataset.World, cfg Config, cases []CountryCase) (*CountryResult, error) {
 	an, err := core.NewAnalyzer(w)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := an.ResolveCountryCases(cases)
 	if err != nil {
 		return nil, err
 	}
@@ -557,30 +560,22 @@ func Countries(ctx context.Context, w *dataset.World, cfg Config, cases []Countr
 		name  string
 		model failure.Model
 	}{{"S1", failure.S1()}, {"S2", failure.S2()}}
-	type spec struct{ si, ci int }
-	specs := make([]spec, 0, len(states)*len(cases))
-	for si := range states {
-		for ci := range cases {
-			specs = append(specs, spec{si, ci})
-		}
-	}
-	reports := make([]*core.CountryReport, len(specs))
-	outer, _ := splitBudget(cfg.Workers, len(specs))
-	err = sim.ForEach(ctx, len(specs), outer, func(i int) error {
-		s := specs[i]
-		rep, err := an.CountryAnalysis(ctx, states[s.si].model, 150, cfg.Trials*10, cfg.Seed, cases[s.ci].Target, cases[s.ci].Partners)
+	reports := make([][]*core.CountryReport, len(states))
+	outer, inner := splitBudget(cfg.Workers, len(states))
+	err = sim.ForEach(ctx, len(states), outer, func(i int) error {
+		plan, err := failure.Compile(w.Submarine, states[i].model, 150)
 		if err != nil {
 			return err
 		}
-		reports[i] = rep
-		return nil
+		reports[i], err = cs.Reports(ctx, plan, cfg.Trials*10, cfg.Seed, inner)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := &CountryResult{Reports: map[string][]*core.CountryReport{}}
-	for i, s := range specs {
-		out.Reports[states[s.si].name] = append(out.Reports[states[s.si].name], reports[i])
+	for i, s := range states {
+		out.Reports[s.name] = reports[i]
 	}
 	return out, nil
 }

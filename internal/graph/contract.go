@@ -405,42 +405,102 @@ func rootComp(cc *CoreContraction, cuts []int32, set []int32) (int32, bool) {
 // deadClasses, answered on the contracted graph. The query sets are
 // already resolved to distinct supernodes (see SupersOf), saving the
 // per-node super lookups in trial loops that ask about the same pair
-// thousands of times. Trials that kill few classes take the forest path
-// (work proportional to the deletions); denser masks fall back to
-// re-unioning the frontier. Both paths are exact, so the verdict never
-// depends on which one ran.
+// thousands of times. It is the one-query form of Trial and Connected.
 //
 //gicnet:hotpath
 func (s *Scratch) AnyConnectedSupers(cc *CoreContraction, deadClasses Bitset, fromSupers, toSupers []int32) bool {
+	return s.Trial(cc, deadClasses).Connected(fromSupers, toSupers)
+}
+
+// CoreTrial is one trial of a contraction, read by any number of
+// connectivity queries. The trial's forest cuts are collected on the first
+// query, and its component labels (one ComponentsCore union) are built on
+// the first query the root-root shortcut cannot settle, so a trial pays
+// for at most one union however many queries read it. A CoreTrial lives in
+// the Scratch that began it and is valid until that Scratch's next call.
+type CoreTrial struct {
+	s    *Scratch
+	cc   *CoreContraction
+	dead Bitset
+	// cuts holds the dead forest edges when cutsOK; cutsDone and labeled
+	// record which of the two lazy steps have run.
+	cuts                      []int32
+	cutsDone, cutsOK, labeled bool
+}
+
+// Trial begins a trial of cc whose dead-class mask is deadClasses (nil
+// means everything is alive; masks of any length are accepted, as by
+// ComponentsCore). Nothing is computed until a query asks.
+//
+//gicnet:hotpath
+func (s *Scratch) Trial(cc *CoreContraction, deadClasses Bitset) *CoreTrial {
 	if cc.g != s.g {
 		panic("graph: Scratch and CoreContraction bound to different graphs")
 	}
-	if cuts, ok := s.forestCuts(cc, deadClasses, forestCutBudget); ok {
+	s.trial = CoreTrial{s: s, cc: cc, dead: deadClasses}
+	return &s.trial
+}
+
+// Connected reports whether any supernode of fromSupers shares a component
+// with any supernode of toSupers in the trial. Trials that kill few classes
+// try the forest first (work proportional to the deletions); a miss, or a
+// mask too dense for the forest, reads the trial's component labels. Both
+// paths are exact, so the verdict never depends on which one ran.
+//
+//gicnet:hotpath
+func (t *CoreTrial) Connected(fromSupers, toSupers []int32) bool {
+	cc := t.cc
+	if !t.cutsDone {
+		t.cuts, t.cutsOK = t.s.forestCuts(cc, t.dead, forestCutBudget)
+		t.cutsDone = true
+	}
+	if t.cutsOK {
 		// Root-root shortcut: a from-vertex and a to-vertex that both kept
 		// their attachment to the same component root share the root
 		// fragment — connected, regardless of what else died, because the
 		// two root paths are all-alive tree edges. At low failure rates
 		// this settles the verdict after ~two vertex checks, making the
-		// trial sublinear in the frontier. A miss (one side entirely below
+		// query sublinear in the frontier. A miss (one side entirely below
 		// cuts, or split across components) proves nothing and falls
-		// through to the exact frontier re-union below.
-		if cf, okf := rootComp(cc, cuts, fromSupers); okf {
+		// through to the exact labels below.
+		if cf, okf := rootComp(cc, t.cuts, fromSupers); okf {
 			for _, sp := range toSupers {
-				if cc.comp[sp] == cf && !underCut(cc, cuts, sp) {
+				if cc.comp[sp] == cf && !underCut(cc, t.cuts, sp) {
 					return true
 				}
 			}
 		}
 	}
-	uf := s.ComponentsCore(cc, deadClasses)
+	t.label()
+	s := t.s
 	stamp := s.nextStamp()
 	for _, sp := range fromSupers {
-		s.seen[uf.Find(int(sp))] = stamp
+		s.seen[s.uf.Find(int(sp))] = stamp
 	}
 	for _, sp := range toSupers {
-		if s.seen[uf.Find(int(sp))] == stamp {
+		if s.seen[s.uf.Find(int(sp))] == stamp {
 			return true
 		}
 	}
 	return false
+}
+
+// Root returns the component representative of supernode sp in the trial:
+// two supernodes are connected exactly when their roots are equal. The
+// first call builds the trial's labels if no query has yet.
+//
+//gicnet:hotpath
+func (t *CoreTrial) Root(sp int32) int32 {
+	t.label()
+	return int32(t.s.uf.Find(int(sp)))
+}
+
+// label builds the trial's component labels once.
+//
+//gicnet:hotpath
+func (t *CoreTrial) label() {
+	if !t.labeled {
+		t.s.ComponentsCore(t.cc, t.dead)
+		t.labeled = true
+	}
 }

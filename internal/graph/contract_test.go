@@ -137,7 +137,10 @@ func checkAgreement(t *testing.T, c randomContractionCase, cc *CoreContraction, 
 	}
 
 	// Country-pair style verdicts over random node sets, through the
-	// precomputed-supernode query form.
+	// precomputed-supernode query form: one trial per query, and all the
+	// queries on one shared trial, whose roots must then partition the
+	// nodes as the direct engine does.
+	trial := g.NewScratch().Trial(cc, deadClasses)
 	for q := 0; q < 4; q++ {
 		from := randomNodeSet(r, n)
 		to := randomNodeSet(r, n)
@@ -146,6 +149,17 @@ func checkAgreement(t *testing.T, c randomContractionCase, cc *CoreContraction, 
 		toS := cc.SupersOf(nil, to)
 		if got := scratchCore.AnyConnectedSupers(cc, deadClasses, fromS, toS); got != direct {
 			t.Fatalf("AnyConnectedSupers(%v,%v) = %v, direct %v", from, to, got, direct)
+		}
+		if got := trial.Connected(fromS, toS); got != direct {
+			t.Fatalf("shared trial query %d: Connected(%v,%v) = %v, direct %v", q, from, to, got, direct)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			got := trial.Root(cc.Super(NodeID(a))) == trial.Root(cc.Super(NodeID(b)))
+			if want := directLabels[a] == directLabels[b]; got != want {
+				t.Fatalf("shared trial roots (%d,%d): connected %v, direct %v", a, b, got, want)
+			}
 		}
 	}
 }

@@ -26,6 +26,10 @@ type Scratch struct {
 	// path (see forestCuts); it grows to the per-trial cut high-water mark
 	// and then stops allocating.
 	cuts []int32
+
+	// trial is the CoreTrial that Trial hands out, so beginning a trial
+	// allocates nothing.
+	trial CoreTrial
 }
 
 // NewScratch returns scratch state sized for g.

@@ -6,11 +6,14 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
+	"gicnet/internal/core"
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
@@ -93,7 +96,7 @@ type Candidate struct {
 	MaxAbsLat float64
 	// SurvivalProb under the reference model.
 	SurvivalProb float64
-	// Benefit is the measured improvement in cross-partition survival
+	// Benefit is the gain in probe-pair survival the cable would bring
 	// (filled by Recommend).
 	Benefit float64
 }
@@ -103,90 +106,101 @@ type Candidate struct {
 // different regions, ranked by the connectivity benefit they add between
 // the two probe targets under the model. It mutates nothing.
 //
-// Every candidate is priced analytically for the pre-rank, and only the
-// top 4n are simulated, each on a copy of the network with the candidate
-// appended. The pre-rank prices a candidate on a network holding just the
-// candidate cable and its four nodes, which gives the same price as the
-// augmented copy because a model prices a cable from that cable's own
-// segments and nodes. Every model in this module does; a failure.Func
-// that reads other cables, or the cable's index, does not, and would rank
-// the candidates differently.
+// Every candidate is priced exactly from one base run of trials trials,
+// trial t drawn from SplitAt(t) of seed as in sim.Run. A candidate dies
+// independently of every existing cable, so its benefit is its survival
+// probability times the share of base trials in which the probe pair is
+// cut and the group the cable would merge (the components of its two
+// backhaul nodes and its two new landings) touches both probe sides. A
+// landing is on a side when the probe's target grammar (core.Target.Match)
+// takes it, as resolving the probe on the augmented network would.
+// Candidates are sorted by benefit, ties broken by survival and then by
+// anchor names.
+//
+// Survival is priced on a network holding just the candidate cable and its
+// four nodes, which gives the same price as the augmented network because
+// a model prices a cable from that cable's own segments and nodes. Every
+// model in this module does; a failure.Func that reads other cables, or the
+// cable's index, does not, and would price the candidates differently.
 func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int, seed uint64, n int, probeA, probeB string) ([]Candidate, error) {
+	return recommend(context.Background(), w.Submarine, m, spacingKm, trials, seed, 0, n, probeA, probeB)
+}
+
+// recommend is Recommend on any network, with the base run spread over a
+// workers budget (0 means GOMAXPROCS) that does not change the answer.
+func recommend(ctx context.Context, net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, workers, n int, probeA, probeB string) ([]Candidate, error) {
 	if n <= 0 {
 		return nil, errors.New("partition: need n > 0")
 	}
-	net := w.Submarine
-	base, err := pairSurvival(net, m, spacingKm, trials, seed, probeA, probeB)
+	if trials <= 0 {
+		return nil, errors.New("partition: trials must be positive")
+	}
+	sides := [2]core.Target{core.Target(probeA), core.Target(probeB)}
+	var probe [2][]graph.NodeID
+	for i, t := range sides {
+		nodes, err := core.Resolve(net, t)
+		if err != nil {
+			return nil, fmt.Errorf("partition: probe: %w", err)
+		}
+		for _, v := range nodes {
+			probe[i] = append(probe[i], graph.NodeID(v))
+		}
+	}
+	cs, err := candidates(net, m, spacingKm)
 	if err != nil {
 		return nil, err
 	}
-	cands, backhaul, err := rankCandidates(net, m, spacingKm, probeA, probeB)
+	plan, err := failure.Compile(net, m, spacingKm)
 	if err != nil {
 		return nil, err
 	}
-	limit := 4 * n
-	if limit > len(cands) {
-		limit = len(cands)
+	if err := cs.price(ctx, plan, trials, seed, workers, sides, probe); err != nil {
+		return nil, err
 	}
-	evaluated := cands[:limit]
-	for i := range evaluated {
-		c := evaluated[i]
-		augmented, err := withCandidate(net, c, backhaul[c.From], backhaul[c.To])
-		if err != nil {
-			return nil, err
-		}
-		after, err := pairSurvival(augmented, m, spacingKm, trials, seed, probeA, probeB)
-		if err != nil {
-			return nil, err
-		}
-		evaluated[i].Benefit = after - base
-	}
-	sort.Slice(evaluated, func(i, j int) bool { return evaluated[i].Benefit > evaluated[j].Benefit })
-	if len(evaluated) > n {
-		evaluated = evaluated[:n]
-	}
-	return evaluated, nil
+	cands := cs.cands
+	slices.SortFunc(cands, func(x, y Candidate) int {
+		return cmp.Or(cmp.Compare(y.Benefit, x.Benefit), cmp.Compare(y.SurvivalProb, x.SurvivalProb),
+			strings.Compare(x.From, y.From), strings.Compare(x.To, y.To))
+	})
+	return slices.Clone(cands[:min(n, len(cands))]), nil
 }
 
-// rankCandidates lists every bridge candidate with its survival
-// probability, sorted by the analytic pre-rank: survival times probe
-// relevance. A bridge can only help the probe pair if its landings sit
-// near the probes' nodes — one end near each side. It also returns each
-// low-latitude anchor's backhaul node (nearestOfCountry) by anchor name.
-func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, probeA, probeB string) ([]Candidate, map[string]int, error) {
-	anchors := dataset.Anchors()
-	probeACoords := coordsOf(net, nodesOf(net, probeA))
-	probeBCoords := coordsOf(net, nodesOf(net, probeB))
+// end is a low-latitude anchor as a candidate cable lands there: the new
+// landing node and the existing node it is backhauled to.
+type end struct {
+	landing  topology.Node
+	backhaul int
+}
+
+// candidateSet is every bridge candidate of a network, the anchor ends
+// they land on, and the two ends (indices into ends) each candidate joins.
+type candidateSet struct {
+	ends  []end
+	cands []Candidate
+	joins [][2]int
+}
+
+// candidates lists every bridge candidate with its survival probability
+// under m. Each low-latitude anchor's backhaul node (nearestOfCountry) is
+// found once and shared by every candidate that lands there.
+func candidates(net *topology.Network, m failure.Model, spacingKm float64) (*candidateSet, error) {
 	units := unitVecs(net)
-	// Each low-latitude anchor's landing node, backhaul node and distance
-	// to each probe side, shared by every candidate that lands there.
-	type end struct {
-		landing  topology.Node
-		backhaul int
-		toA, toB float64
-	}
-	ends := make([]end, len(anchors))
-	backhauls := make(map[string]int)
-	for i, a := range anchors {
+	cs := &candidateSet{}
+	var low []dataset.Anchor
+	for _, a := range dataset.Anchors() {
 		if a.Coord.AbsLat() >= geo.MidBandCut {
 			continue
 		}
 		backhaul := nearestOfCountry(net, units, a)
 		if backhaul < 0 {
-			return nil, nil, fmt.Errorf("partition: no node with coordinates to tie anchor %q into", a.Name)
+			return nil, fmt.Errorf("partition: no node with coordinates to tie anchor %q into", a.Name)
 		}
-		ends[i] = end{landing(a), backhaul, minDist(a.Coord, probeACoords), minDist(a.Coord, probeBCoords)}
-		backhauls[a.Name] = backhaul
+		low = append(low, a)
+		cs.ends = append(cs.ends, end{landing(a), backhaul})
 	}
-
-	var cands []Candidate
-	var prelim []float64
-	for i, from := range anchors {
-		if from.Coord.AbsLat() >= geo.MidBandCut {
-			continue
-		}
-		for j, to := range anchors {
-			if to.Name <= from.Name || to.Coord.AbsLat() >= geo.MidBandCut {
+	for i, from := range low {
+		for j, to := range low {
+			if to.Name <= from.Name {
 				continue
 			}
 			if geo.RegionOf(from.Coord) == geo.RegionOf(to.Coord) {
@@ -198,9 +212,9 @@ func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, p
 			}
 			c := Candidate{
 				From: from.Name, To: to.Name, LengthKm: d,
-				MaxAbsLat: maxf(from.Coord.AbsLat(), to.Coord.AbsLat()),
+				MaxAbsLat: max(from.Coord.AbsLat(), to.Coord.AbsLat()),
 			}
-			a, b := &ends[i], &ends[j]
+			a, b := &cs.ends[i], &cs.ends[j]
 			alone := &topology.Network{
 				Name:   net.Name + "+candidate",
 				Nodes:  []topology.Node{a.landing, b.landing, net.Nodes[a.backhaul], net.Nodes[b.backhaul]},
@@ -208,82 +222,95 @@ func rankCandidates(net *topology.Network, m failure.Model, spacingKm float64, p
 			}
 			p, err := failure.CableDeathProb(alone, m, spacingKm, 0)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			c.SurvivalProb = 1 - p
-			// Best assignment of the two endpoints to the two probe sides.
-			dist := a.toA + b.toB
-			if d2 := a.toB + b.toA; d2 < dist {
-				dist = d2
+			cs.cands = append(cs.cands, c)
+			cs.joins = append(cs.joins, [2]int{i, j})
+		}
+	}
+	return cs, nil
+}
+
+// pricing is one worker slot's state while candidates are priced: the
+// per-supernode marks of the probe sides' components in the current cut
+// trial, each end's sides, and each candidate's count of bridged cut
+// trials.
+type pricing struct {
+	trial  int
+	marked [2][]int  // per component root: the trial that last marked it on side 0 or 1
+	on     [2][]bool // per end: its merged group reaches side 0 or 1
+	counts []int
+}
+
+// price fills every candidate's Benefit from trials base trials of plan,
+// read through their component labels (sim.ForEachLabels). In a trial
+// where the probe pair is cut, an end is on a side when its landing is
+// (sides[k].Match) or its backhaul node's component holds a node of that
+// side, and a candidate bridges the trial when its two ends together reach
+// both sides. A landing on both sides connects the pair whatever the
+// candidate's fate, so such a candidate's benefit is the whole cut share.
+func (cs *candidateSet) price(ctx context.Context, plan *failure.Plan, trials int, seed uint64, workers int, sides [2]core.Target, probe [2][]graph.NodeID) error {
+	cc := plan.Contraction()
+	var supers [2][]int32
+	var landOn [2][]bool
+	for k := range sides {
+		supers[k] = cc.SupersOf(nil, probe[k])
+		has := sides[k].Match()
+		for i := range cs.ends {
+			landOn[k] = append(landOn[k], has(&cs.ends[i].landing))
+		}
+	}
+	backhaul := make([]int32, len(cs.ends))
+	for i, e := range cs.ends {
+		backhaul[i] = cc.Super(graph.NodeID(e.backhaul))
+	}
+	slots, err := sim.ForEachLabels(ctx, plan, trials, seed, workers, func() *pricing {
+		s := &pricing{counts: make([]int, len(cs.cands))}
+		for k := range s.marked {
+			s.marked[k] = make([]int, cc.NumSupernodes())
+			s.on[k] = make([]bool, len(cs.ends))
+		}
+		return s
+	}, func(s *pricing, t *graph.CoreTrial) {
+		if t.Connected(supers[0], supers[1]) {
+			return
+		}
+		s.trial++
+		for k := range supers {
+			for _, sp := range supers[k] {
+				s.marked[k][t.Root(sp)] = s.trial
 			}
-			relevance := 1 / (1 + dist/4000)
-			cands = append(cands, c)
-			prelim = append(prelim, c.SurvivalProb*relevance)
 		}
-	}
-	sort.Sort(&byScore{cands, prelim})
-	return cands, backhauls, nil
-}
-
-// byScore sorts candidates and their scores together, descending.
-type byScore struct {
-	cands  []Candidate
-	scores []float64
-}
-
-func (b *byScore) Len() int           { return len(b.cands) }
-func (b *byScore) Less(i, j int) bool { return b.scores[i] > b.scores[j] }
-func (b *byScore) Swap(i, j int) {
-	b.cands[i], b.cands[j] = b.cands[j], b.cands[i]
-	b.scores[i], b.scores[j] = b.scores[j], b.scores[i]
-}
-
-// coordsOf extracts coordinates of node indices with coordinates.
-func coordsOf(net *topology.Network, nodes []int) []geo.Coord {
-	out := make([]geo.Coord, 0, len(nodes))
-	for _, n := range nodes {
-		if net.Nodes[n].HasCoord {
-			out = append(out, net.Nodes[n].Coord)
+		for i, sp := range backhaul {
+			r := t.Root(sp)
+			for k := range s.on {
+				s.on[k][i] = landOn[k][i] || s.marked[k][r] == s.trial
+			}
 		}
-	}
-	return out
-}
-
-// minDist returns the smallest haversine distance from c to any of pts
-// (infinite if pts is empty).
-func minDist(c geo.Coord, pts []geo.Coord) float64 {
-	best := 1e18
-	for _, p := range pts {
-		if d := geo.Haversine(c, p); d < best {
-			best = d
+		for c, j := range cs.joins {
+			if (s.on[0][j[0]] || s.on[0][j[1]]) && (s.on[1][j[0]] || s.on[1][j[1]]) {
+				s.counts[c]++
+			}
 		}
+	})
+	if err != nil {
+		return err
 	}
-	return best
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
+	for c, j := range cs.joins {
+		bridged := 0
+		for _, s := range slots {
+			bridged += s.counts[c]
+		}
+		factor := cs.cands[c].SurvivalProb
+		for _, e := range j {
+			if landOn[0][e] && landOn[1][e] {
+				factor = 1
+			}
+		}
+		cs.cands[c].Benefit = factor * (float64(bridged) / float64(trials))
 	}
-	return b
-}
-
-// withCandidate returns a copy of net with the candidate cable appended,
-// its landings tied into nodes nearFrom and nearTo (the backhaul nodes of
-// c.From and c.To).
-func withCandidate(net *topology.Network, c Candidate, nearFrom, nearTo int) (*topology.Network, error) {
-	fromA, okA := dataset.AnchorByName(c.From)
-	toA, okB := dataset.AnchorByName(c.To)
-	if !okA || !okB {
-		return nil, fmt.Errorf("partition: unknown anchor %q or %q", c.From, c.To)
-	}
-	cp := &topology.Network{Name: net.Name + "+candidate"}
-	cp.Nodes = append(cp.Nodes, net.Nodes...)
-	cp.Cables = append(cp.Cables, net.Cables...)
-	a, b := len(cp.Nodes), len(cp.Nodes)+1
-	cp.Nodes = append(cp.Nodes, landing(fromA), landing(toA))
-	cp.Cables = append(cp.Cables, candidateCable(c, a, b, nearFrom, nearTo))
-	return cp, nil
+	return nil
 }
 
 // landing is the new landing station a candidate cable adds at an anchor.
@@ -350,50 +377,4 @@ func unitVecs(net *topology.Network) []geo.Vec {
 		}
 	}
 	return units
-}
-
-// pairSurvival is a local Monte Carlo of target-set connectivity (the
-// core package owns the richer version; this one works on arbitrary
-// networks including augmented copies). The trial loop is sim.PairSurvival
-// on the plan's core contraction.
-func pairSurvival(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, countryA, countryB string) (float64, error) {
-	if trials <= 0 {
-		return 0, errors.New("partition: trials must be positive")
-	}
-	a := nodeIDsOf(net, countryA)
-	b := nodeIDsOf(net, countryB)
-	if len(a) == 0 || len(b) == 0 {
-		return 0, fmt.Errorf("partition: no nodes for %q or %q", countryA, countryB)
-	}
-	plan, err := failure.Compile(net, m, spacingKm)
-	if err != nil {
-		return 0, err
-	}
-	return sim.PairSurvival(context.Background(), plan, trials, seed, a, b)
-}
-
-// nodeIDsOf is nodesOf as graph node IDs, for the scratch connectivity
-// queries.
-func nodeIDsOf(net *topology.Network, target string) []graph.NodeID {
-	xs := nodesOf(net, target)
-	out := make([]graph.NodeID, len(xs))
-	for i, x := range xs {
-		out[i] = graph.NodeID(x)
-	}
-	return out
-}
-
-// nodesOf resolves a country code or "region:<name>" target.
-func nodesOf(net *topology.Network, target string) []int {
-	if len(target) > 7 && target[:7] == "region:" {
-		want := geo.Region(target[7:])
-		var out []int
-		for i, nd := range net.Nodes {
-			if nd.HasCoord && geo.RegionOf(nd.Coord) == want {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	return net.NodesOfCountry(target)
 }

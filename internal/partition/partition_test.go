@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"errors"
 	"testing"
 
+	"gicnet/internal/core"
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
@@ -137,6 +139,9 @@ func TestRecommendLowLatitudeBridges(t *testing.T) {
 	}
 	if _, err := Recommend(w, failure.S1(), 150, 5, 7, 0, "us", "gb"); err == nil {
 		t.Error("want n error")
+	}
+	if _, err := Recommend(w, failure.S1(), 150, 5, 7, 3, "us", "zz"); !errors.Is(err, core.ErrEmptyTarget) {
+		t.Errorf("unknown probe: err = %v, want a wrapped core.ErrEmptyTarget", err)
 	}
 }
 

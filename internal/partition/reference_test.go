@@ -1,24 +1,28 @@
 package partition
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"math"
 	"testing"
 
+	"gicnet/internal/core"
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
 	"gicnet/internal/gic"
+	"gicnet/internal/graph"
+	"gicnet/internal/sim"
 	"gicnet/internal/topology"
 )
 
-// rankCandidatesFullCopy is the pre-rank as it was before candidates were
-// priced on their own: each candidate is appended to a full copy of the
-// network (hypotheticalDeathProb), and its backhaul nodes (by the scan,
-// NearestOfCountryScan) and probe distances are searched afresh per
-// candidate. It ranks under several
-// models at once, so one copy per candidate serves all of them.
-func rankCandidatesFullCopy(net *topology.Network, models []failure.Model, spacingKm float64, probeA, probeB string) ([][]Candidate, error) {
+// priceCandidatesFullCopy is the survival pricing as it was before
+// candidates were priced on their own: each candidate is appended to a
+// full copy of the network (withCandidate, its backhaul nodes searched
+// afresh by the scan, NearestOfCountryScan) and priced there. It prices
+// under several models at once, so one copy per candidate serves all of
+// them, and lists the candidates in enumeration order.
+func priceCandidatesFullCopy(net *topology.Network, models []failure.Model, spacingKm float64) ([][]Candidate, error) {
 	var cands []Candidate
 	for _, from := range dataset.Anchors() {
 		if from.Coord.AbsLat() >= geo.MidBandCut {
@@ -37,28 +41,16 @@ func rankCandidatesFullCopy(net *topology.Network, models []failure.Model, spaci
 			}
 			cands = append(cands, Candidate{
 				From: from.Name, To: to.Name, LengthKm: d,
-				MaxAbsLat: maxf(from.Coord.AbsLat(), to.Coord.AbsLat()),
+				MaxAbsLat: math.Max(from.Coord.AbsLat(), to.Coord.AbsLat()),
 			})
 		}
 	}
-	probeACoords := coordsOf(net, nodesOf(net, probeA))
-	probeBCoords := coordsOf(net, nodesOf(net, probeB))
 	out := make([][]Candidate, len(models))
-	prelim := make([][]float64, len(models))
 	for _, c := range cands {
-		tmp, err := withCandidateFullCopy(net, c)
+		tmp, err := augmented(net, c)
 		if err != nil {
 			return nil, err
 		}
-		fromA, _ := dataset.AnchorByName(c.From)
-		toA, _ := dataset.AnchorByName(c.To)
-		d1 := minDist(fromA.Coord, probeACoords) + minDist(toA.Coord, probeBCoords)
-		d2 := minDist(fromA.Coord, probeBCoords) + minDist(toA.Coord, probeACoords)
-		d := d1
-		if d2 < d {
-			d = d2
-		}
-		relevance := 1 / (1 + d/4000)
 		for mi, m := range models {
 			p, err := failure.CableDeathProb(tmp, m, spacingKm, len(tmp.Cables)-1)
 			if err != nil {
@@ -67,19 +59,16 @@ func rankCandidatesFullCopy(net *topology.Network, models []failure.Model, spaci
 			priced := c
 			priced.SurvivalProb = 1 - p
 			out[mi] = append(out[mi], priced)
-			prelim[mi] = append(prelim[mi], priced.SurvivalProb*relevance)
 		}
-	}
-	for mi := range models {
-		sort.Sort(&byScore{out[mi], prelim[mi]})
 	}
 	return out, nil
 }
 
 // NearestOfCountryScan is nearestOfCountry as it was before the screen:
 // a haversine to every located node, divided by 10 within the anchor's
-// country, ties to the lowest index. The differential tests and the
-// full-copy pre-rank hold nearestOfCountry to it.
+// country, ties to the lowest index. The differential tests hold
+// nearestOfCountry to it, and the full-copy pricing and the augmented
+// copies use it.
 func NearestOfCountryScan(net *topology.Network, a dataset.Anchor) int {
 	best, bestD := -1, 1e18
 	for i, nd := range net.Nodes {
@@ -103,10 +92,11 @@ func NearestOfCountry(net *topology.Network, a dataset.Anchor) int {
 	return nearestOfCountry(net, unitVecs(net), a)
 }
 
-// withCandidateFullCopy is withCandidate with the candidate cable written
-// out, as the full-copy pricing built it, its backhaul nodes searched by
-// the scan.
-func withCandidateFullCopy(net *topology.Network, c Candidate) (*topology.Network, error) {
+// withCandidate returns a copy of net with the candidate cable appended,
+// written out by hand: two new landings at its anchors and one cable of
+// three segments, the bridge itself and a 50 km backhaul from each landing
+// to nodes nearFrom and nearTo.
+func withCandidate(net *topology.Network, c Candidate, nearFrom, nearTo int) (*topology.Network, error) {
 	fromA, okA := dataset.AnchorByName(c.From)
 	toA, okB := dataset.AnchorByName(c.To)
 	if !okA || !okB {
@@ -127,18 +117,71 @@ func withCandidateFullCopy(net *topology.Network, c Candidate) (*topology.Networ
 		Name: fmt.Sprintf("candidate-%s-%s", c.From, c.To),
 		Segments: []topology.Segment{
 			{A: a, B: b, LengthKm: c.LengthKm},
-			{A: a, B: NearestOfCountryScan(net, fromA), LengthKm: 50},
-			{A: b, B: NearestOfCountryScan(net, toA), LengthKm: 50},
+			{A: a, B: nearFrom, LengthKm: 50},
+			{A: b, B: nearTo, LengthKm: 50},
 		},
 		KnownLength: true,
 	})
 	return cp, nil
 }
 
+// augmented is withCandidate tied into the backhaul nodes the scan picks.
+func augmented(net *topology.Network, c Candidate) (*topology.Network, error) {
+	fromA, okA := dataset.AnchorByName(c.From)
+	toA, okB := dataset.AnchorByName(c.To)
+	if !okA || !okB {
+		return nil, fmt.Errorf("partition: unknown anchor %q or %q", c.From, c.To)
+	}
+	return withCandidate(net, c, NearestOfCountryScan(net, fromA), NearestOfCountryScan(net, toA))
+}
+
+// pairSurvival is the augmented-copy Monte Carlo: the survival of the
+// probeA-probeB pair on net (any network, an augmented copy included),
+// with both probes resolved on net by core.Resolve.
+func pairSurvival(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, probeA, probeB string) (float64, error) {
+	var pair sim.Pair
+	for i, t := range []core.Target{core.Target(probeA), core.Target(probeB)} {
+		nodes, err := core.Resolve(net, t)
+		if err != nil {
+			return 0, err
+		}
+		ids := make([]graph.NodeID, len(nodes))
+		for k, v := range nodes {
+			ids[k] = graph.NodeID(v)
+		}
+		if i == 0 {
+			pair.From = ids
+		} else {
+			pair.To = ids
+		}
+	}
+	plan, err := failure.Compile(net, m, spacingKm)
+	if err != nil {
+		return 0, err
+	}
+	probs, err := sim.PairSurvival(context.Background(), plan, trials, seed, 0, []sim.Pair{pair})
+	if err != nil {
+		return 0, err
+	}
+	return probs[0], nil
+}
+
+// PairSurvival and Augmented export the reference for the external
+// differential tests, and RecommendOn the pricer on any network at a
+// worker budget.
+var (
+	PairSurvival = pairSurvival
+	Augmented    = augmented
+)
+
+func RecommendOn(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, workers, n int, probeA, probeB string) ([]Candidate, error) {
+	return recommend(context.Background(), net, m, spacingKm, trials, seed, workers, n, probeA, probeB)
+}
+
 // TestRankCandidatesMatchesFullCopy prices every candidate of one
 // Recommend call under each model family of the module and requires the
-// full-copy pre-rank exactly: the same candidates in the same order, each
-// with the same survival probability. The path-banded models run on a
+// full-copy pricing exactly: the same candidates in the same enumeration
+// order, each with the same survival probability. The path-banded models run on a
 // small map (every twentieth submarine cable and its nodes), because a
 // full copy prices them by tracing every cable's great-circle path again
 // per candidate, about 15 s on the whole map; the endpoint-banded models
@@ -182,22 +225,22 @@ func TestRankCandidatesMatchesFullCopy(t *testing.T) {
 		failure.Worst{A: failure.S2(), B: failure.S1Path()},
 	}
 	for _, run := range []struct {
-		net            *topology.Network
-		models         []failure.Model
-		probeA, probeB string
+		net    *topology.Network
+		models []failure.Model
 	}{
-		{net, endpointBanded, "br", "za"},
-		{small, pathBanded, "region:south-america", "region:africa"},
+		{net, endpointBanded},
+		{small, pathBanded},
 	} {
-		want, err := rankCandidatesFullCopy(run.net, run.models, 150, run.probeA, run.probeB)
+		want, err := priceCandidatesFullCopy(run.net, run.models, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for mi, m := range run.models {
-			got, _, err := rankCandidates(run.net, m, 150, run.probeA, run.probeB)
+			cs, err := candidates(run.net, m, 150)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := cs.cands
 			if len(got) != len(want[mi]) {
 				t.Fatalf("%s, %s: %d candidates, want %d", run.net.Name, m.Name(), len(got), len(want[mi]))
 			}

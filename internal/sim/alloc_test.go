@@ -14,9 +14,11 @@ import (
 // TestTrialLoopAllocationPins pins the per-call allocations of
 // forEachBlock's callers on the S1 submarine plan: a serial arena run makes
 // at most 3 (the block dispatch closure and the scorer it calls),
-// PairSurvival at most 32 (its connectivity scratch, resolved node sets
-// and one worker slot), and neither count may grow with the trial count,
-// so nothing allocates per block.
+// PairSurvival at most 32 for one pair (its connectivity scratch, resolved
+// node sets, count state and one worker slot) and at most 48 for four
+// pairs, one listed twice and one whose sets are the same, and no count
+// may grow with the trial count, so nothing allocates per block or per
+// trial.
 // Race-detector builds instrument allocations differently and skip it.
 func TestTrialLoopAllocationPins(t *testing.T) {
 	w, err := dataset.Default()
@@ -35,6 +37,7 @@ func TestTrialLoopAllocationPins(t *testing.T) {
 	for _, n := range net.NodesOfCountry("gb") {
 		gb = append(gb, graph.NodeID(n))
 	}
+	many := []Pair{{From: us, To: gb}, {From: gb, To: us}, {From: us, To: gb}, {From: us, To: us}}
 	ctx := context.Background()
 	a := NewArena()
 	var s1 failure.Model = failure.S1() // boxed once, as a caller holding a model would
@@ -52,7 +55,11 @@ func TestTrialLoopAllocationPins(t *testing.T) {
 			return err
 		}},
 		{"PairSurvival", 32, func(trials int) error {
-			_, err := PairSurvival(ctx, plan, trials, 1, us, gb)
+			_, err := PairSurvival(ctx, plan, trials, 1, 1, []Pair{{From: us, To: gb}})
+			return err
+		}},
+		{"PairSurvival/many", 48, func(trials int) error {
+			_, err := PairSurvival(ctx, plan, trials, 1, 1, many)
 			return err
 		}},
 	}

@@ -294,7 +294,7 @@ func runPlanInto(ctx context.Context, plan *failure.Plan, cfg Config, res *Resul
 	if est != nil {
 		logw = make([]float64, cfg.Trials)
 	}
-	err := forEachBlock(ctx, plan, cfg.Trials, cfg.Seed, est, logw, scr, func(s *blockScratch, t0, n int) {
+	err := forEachBlock(ctx, plan, cfg.Trials, cfg.Seed, est, logw, scr, func(_ int, s *blockScratch, t0, n int) {
 		plan.EvaluateBatch(&s.batch, n, outcomes[t0:t0+n])
 		if idx != nil {
 			idx.ScoreBatch(&s.batch, n, cross[t0:t0+n], &s.cross)
@@ -323,14 +323,15 @@ func runPlanInto(ctx context.Context, plan *failure.Plan, cfg Config, res *Resul
 }
 
 // blockScratch is one worker slot's trial-block storage: a copy of the
-// run's RNG root, the drawn realisations and the cross-layer scorer's
-// scratch. A slot is owned by one goroutine at a time (see ForEachWorker),
-// so blocks allocate nothing, and the root sits in the slot rather than in
-// a heap cell of its own.
+// run's RNG root, the drawn realisations, the cross-layer scorer's scratch
+// and the labels scorer's connectivity scratch. A slot is owned by one
+// goroutine at a time (see ForEachWorker), so blocks allocate nothing, and
+// the root sits in the slot rather than in a heap cell of its own.
 type blockScratch struct {
 	root  xrand.Source
 	batch failure.BatchScratch
 	cross crosslayer.Scratch
+	conn  *graph.Scratch // ForEachLabels only
 }
 
 // blockSlots is the worker-slot count of a trials-long run: the workers
@@ -348,10 +349,10 @@ func blockSlots(workers, trials int) int {
 // seed, or from est when non-nil, which writes the trials' log weights
 // into logw — dispatches the blocks through ForEachWorker over len(scr)
 // worker slots, and hands each drawn block (first trial t0, n trials) to
-// score on the slot that owns its scratch. A trial's realisation depends
-// only on (plan, seed, t), never on the slot count, so score sees the same
-// rows whatever the parallelism.
-func forEachBlock(ctx context.Context, plan *failure.Plan, trials int, seed uint64, est Estimator, logw []float64, scr []blockScratch, score func(s *blockScratch, t0, n int)) error {
+// score on the slot w that owns its scratch s = &scr[w]. A trial's
+// realisation depends only on (plan, seed, t), never on the slot count,
+// so score sees the same rows whatever the parallelism.
+func forEachBlock(ctx context.Context, plan *failure.Plan, trials int, seed uint64, est Estimator, logw []float64, scr []blockScratch, score func(w int, s *blockScratch, t0, n int)) error {
 	for i := range scr {
 		scr[i].root = *xrand.New(seed)
 		scr[i].batch.Grow(plan)
@@ -366,7 +367,7 @@ func forEachBlock(ctx context.Context, plan *failure.Plan, trials int, seed uint
 		} else {
 			plan.SampleBatch(&s.batch, &s.root, uint64(t0), n)
 		}
-		score(s, t0, n)
+		score(w, s, t0, n)
 		return nil
 	})
 }
@@ -548,41 +549,87 @@ func ForEachWorker(ctx context.Context, n, workers int, fn func(worker, i int) e
 	return nil
 }
 
-// PairSurvival estimates the probability that the from and to node sets
-// stay connected under the plan's failure distribution: trials
-// realisations, trial ti seeded by SplitAt(ti) from seed exactly like Run,
-// each tested for any surviving path between the sets. It is the shared
-// trial loop behind the country-connectivity analysis and the partition
-// layer's probe survival, and runs on one worker: its callers spread pairs
-// across their worker budget instead.
-//
-// Each trial is answered on the plan's core contraction — the dead CABLE
-// bitset is the query mask, so neither the per-trial cable→edge projection
-// nor the full-graph union-find runs. internal/verify holds its answers
-// bit for bit to a full-graph oracle.
-func PairSurvival(ctx context.Context, plan *failure.Plan, trials int, seed uint64, from, to []graph.NodeID) (float64, error) {
+// ForEachLabels is forEachBlock's labels scorer. It draws trials
+// [0, trials) of plan as Run does — trial t from root.SplitAt(t) of seed —
+// over at most workers slots (0 means GOMAXPROCS), and hands every trial
+// to visit as a graph.CoreTrial on the plan's core contraction, together
+// with the state of the slot that drew it. A trial runs at most one
+// ComponentsCore, however many queries visit makes of it. Each slot's
+// state comes from newState, and the states are returned for the caller
+// to reduce: a trial's realisation depends only on (plan, seed, t), so a
+// sum of per-trial counts over the states is the same at every worker
+// count.
+func ForEachLabels[S any](ctx context.Context, plan *failure.Plan, trials int, seed uint64, workers int, newState func() S, visit func(S, *graph.CoreTrial)) ([]S, error) {
 	if trials <= 0 {
-		return 0, errors.New("sim: trials must be positive")
-	}
-	if len(from) == 0 || len(to) == 0 {
-		return 0, errors.New("sim: empty connectivity node set")
+		return nil, errors.New("sim: trials must be positive")
 	}
 	cc := plan.Contraction()
-	fromSupers := cc.SupersOf(make([]int32, 0, len(from)), from)
-	toSupers := cc.SupersOf(make([]int32, 0, len(to)), to)
-	scratch := plan.Network().Graph().NewScratch()
-	survived := 0
-	err := forEachBlock(ctx, plan, trials, seed, nil, nil, make([]blockScratch, 1), func(s *blockScratch, _, n int) {
+	scr := make([]blockScratch, blockSlots(workers, trials))
+	states := make([]S, len(scr))
+	for i := range scr {
+		scr[i].conn = plan.Network().Graph().NewScratch()
+		states[i] = newState()
+	}
+	err := forEachBlock(ctx, plan, trials, seed, nil, nil, scr, func(w int, s *blockScratch, _, n int) {
 		for b := 0; b < n; b++ {
-			if scratch.AnyConnectedSupers(cc, s.batch.Row(b), fromSupers, toSupers) {
-				survived++
-			}
+			visit(states[w], s.conn.Trial(cc, s.batch.Row(b)))
 		}
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return float64(survived) / float64(trials), nil
+	return states, nil
+}
+
+// Pair is one query of PairSurvival: do the From and To node sets stay
+// connected?
+type Pair struct {
+	From, To []graph.NodeID
+}
+
+// PairSurvival estimates, for each pair, the probability that its node
+// sets stay connected under the plan's failure distribution: the share of
+// trials realisations — trial t seeded by SplitAt(t) from seed exactly
+// like Run — with a surviving path between the sets. Every pair reads one
+// shared trial set through ForEachLabels: each trial is drawn once, each
+// pair tries the forest root-root shortcut first, and the trial's labels
+// are built only when some pair misses it. The trials spread over the
+// workers budget (0 means GOMAXPROCS) as per-slot integer counts, summed
+// afterwards, so the answer does not depend on it. It is the trial loop
+// behind the country-connectivity analysis, and internal/verify holds its
+// answers bit for bit to a full-graph oracle.
+func PairSurvival(ctx context.Context, plan *failure.Plan, trials int, seed uint64, workers int, pairs []Pair) ([]float64, error) {
+	cc := plan.Contraction()
+	from := make([][]int32, len(pairs))
+	to := make([][]int32, len(pairs))
+	for i, p := range pairs {
+		if len(p.From) == 0 || len(p.To) == 0 {
+			return nil, errors.New("sim: empty connectivity node set")
+		}
+		from[i] = cc.SupersOf(make([]int32, 0, len(p.From)), p.From)
+		to[i] = cc.SupersOf(make([]int32, 0, len(p.To)), p.To)
+	}
+	counts, err := ForEachLabels(ctx, plan, trials, seed, workers,
+		func() []int { return make([]int, len(pairs)) },
+		func(survived []int, t *graph.CoreTrial) {
+			for i := range survived {
+				if t.Connected(from[i], to[i]) {
+					survived[i]++
+				}
+			}
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(pairs))
+	for i := range out {
+		n := 0
+		for _, c := range counts {
+			n += c[i]
+		}
+		out[i] = float64(n) / float64(trials)
+	}
+	return out, nil
 }
 
 // SweepPoint is one (probability, result) pair of a probability sweep.

@@ -38,8 +38,9 @@ func pairSurvivalOracle(plan *failure.Plan, trials int, seed uint64, from, to []
 }
 
 // checkContractedDirectParity holds the country analysis's connectivity
-// engine — sim.PairSurvival on the plan's core contraction — to the
-// full-graph oracle: every partner survival experiments.Countries reports
+// engine — sim.PairSurvival on the plan's core contraction, every partner
+// pair of a state from one shared trial set — to the full-graph oracle:
+// every partner survival experiments.Countries reports
 // for DefaultCountryCases, under S1 and S2 at worker budgets 1 and 4, must
 // equal the oracle's bit for bit.
 func checkContractedDirectParity(w *dataset.World, seed uint64) Result {
