@@ -78,7 +78,8 @@ update-golden:
 	$(GO) run ./cmd/validate -update
 
 # Short fuzz runs over the network-JSON parser, the failure-plan compiler,
-# the core-contraction connectivity engine, the bitset kernel primitives
+# the tilted sampler, the integer sampler (against its float form on
+# rounding-edge probabilities), the core-contraction connectivity engine, the bitset kernel primitives
 # (assembly vs reference semantics), the cross-layer index (its AS
 # attachment against the all-pairs scan), the repair scheduler (against
 # its rescan reference) and the nearest-point screen (against a
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNetworkJSON$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompile$$' -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run '^$$' -fuzz '^FuzzTiltedSampler$$' -fuzztime $(FUZZTIME) ./internal/failure
+	$(GO) test -run '^$$' -fuzz '^FuzzSampleThresholds$$' -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run '^$$' -fuzz '^FuzzSobol$$' -fuzztime $(FUZZTIME) ./internal/rare
 	$(GO) test -run '^$$' -fuzz '^FuzzCoreContraction$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsetKernels$$' -fuzztime $(FUZZTIME) ./internal/graph
@@ -95,12 +97,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRecovery$$' -fuzztime $(FUZZTIME) ./internal/recovery
 	$(GO) test -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME) ./internal/geo
 
-# Quick hot-path benchmarks with allocation counts: the trial engine, the
-# storm path (integrated timeline, repair scheduling, bridge picks,
+# Quick hot-path benchmarks with allocation counts: the trial engine (and
+# its sampling program alone), the storm path (integrated timeline, repair scheduling, bridge picks,
 # traffic routing) and world set-up (the three network generators and the
 # cross-layer index compile).
 bench:
-	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|CountryConnectivityFigures|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|BitsetEvaluate|BitsetKernels|Crosslayer|FullScenario|RecoveryPlanning|TopologyAugmentation|TrafficRouting|WorldGeneration|CrosslayerCompile' -benchmem .
+	$(GO) test -run '^$$' -bench 'Fig6CableFailures|CountryConnectivity|CountryConnectivityFigures|AblationSimWorkers|TrialLoop|PlanCompile|SampleSparse|SampleProgram|BitsetEvaluate|BitsetKernels|Crosslayer|FullScenario|RecoveryPlanning|TopologyAugmentation|TrafficRouting|WorldGeneration|CrosslayerCompile' -benchmem .
 
 # Dated JSON snapshot of the full benchmark suite (see cmd/benchdiff).
 bench-snapshot:

@@ -35,6 +35,7 @@ import (
 	"gicnet/internal/shutdown"
 	"gicnet/internal/sim"
 	"gicnet/internal/solar"
+	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
 
@@ -540,8 +541,10 @@ func BenchmarkBitsetKernels(b *testing.B) {
 }
 
 // BenchmarkSampleSparse isolates the two sampling strategies at p=0.001 on
-// the submarine network: "sparse" is the compiled geometric-skip program,
-// "dense" the one-Bernoulli-per-cable reference path.
+// the submarine network: "sparse" is the compiled geometric-skip program
+// every simulation runs, "dense" the one-Bernoulli-per-cable SampleDense
+// that the verification layer uses to couple the plan to the uncompiled
+// path.
 func BenchmarkSampleSparse(b *testing.B) {
 	w := benchWorld(b)
 	plan, err := failure.Compile(w.Submarine, failure.Uniform{P: 0.001}, 150)
@@ -564,6 +567,40 @@ func BenchmarkSampleSparse(b *testing.B) {
 			plan.SampleDense(dead, &rng)
 		}
 	})
+}
+
+// BenchmarkSampleProgram times the pseudo-random sampling program alone,
+// one trial per op (ns/op is ns per trial), on one plan per mechanism:
+// "dense" (ITU, p=0.2 at 50 km) is mostly per-cable threshold compares,
+// "skips" (ITU, p=0.01 at 50 km) mostly table-driven geometric skips, and
+// "s1" (submarine, S1 at 150 km) the mix of a latitude-tiered model.
+func BenchmarkSampleProgram(b *testing.B) {
+	w := benchWorld(b)
+	cases := []struct {
+		name      string
+		net       *topology.Network
+		model     failure.Model
+		spacingKm float64
+	}{
+		{"dense", w.ITU, failure.Uniform{P: 0.2}, 50},
+		{"skips", w.ITU, failure.Uniform{P: 0.01}, 50},
+		{"s1", w.Submarine, failure.S1(), 150},
+	}
+	for _, c := range cases {
+		plan, err := failure.Compile(c.net, c.model, c.spacingKm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dead := plan.NewDead()
+		root := xrand.New(dataset.DefaultSeed)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rng := root.SplitAt(uint64(i))
+				plan.SampleInto(dead, &rng)
+			}
+		})
+	}
 }
 
 // BenchmarkBitsetEvaluate isolates the word-level outcome kernel: popcount

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -309,6 +310,47 @@ func TestITUConnected(t *testing.T) {
 	net := world(t).ITU
 	if got := net.Graph().ComponentCount(nil); got != 1 {
 		t.Errorf("%d components over %d nodes, want one", got, len(net.Nodes))
+	}
+}
+
+// TestITUNamesAndSegments pins the generator's one-buffer names to their
+// fmt forms (nodes numbered within ascending clusters, links in order) and
+// checks that each link's segment slice is capped at its one segment, so
+// appending to a link's segments never writes into its neighbour's.
+func TestITUNamesAndSegments(t *testing.T) {
+	net := world(t).ITU
+	cluster, rank := -1, -1
+	for i, nd := range net.Nodes {
+		var c, r int
+		if _, err := fmt.Sscanf(nd.Name, "itu-c%d-n%d", &c, &r); err != nil {
+			t.Fatalf("node %d name %q: %v", i, nd.Name, err)
+		}
+		if c == cluster {
+			rank++
+		} else {
+			cluster, rank = cluster+1, 0
+		}
+		if want := fmt.Sprintf("itu-c%03d-n%02d", cluster, rank); nd.Name != want {
+			t.Fatalf("node %d named %q, want %q", i, nd.Name, want)
+		}
+	}
+	for k, c := range net.Cables {
+		if want := fmt.Sprintf("itu-link-%05d", k); c.Name != want {
+			t.Fatalf("link %d named %q, want %q", k, c.Name, want)
+		}
+		if len(c.Segments) != 1 || cap(c.Segments) != 1 {
+			t.Fatalf("link %d segments len %d cap %d, want 1 and 1", k, len(c.Segments), cap(c.Segments))
+		}
+	}
+}
+
+func TestAppendPaddedMatchesSprintf(t *testing.T) {
+	for width := 1; width <= 6; width++ {
+		for v := 0; v < 200000; v += 1 + v/50 {
+			if got, want := string(appendPadded(nil, v, width)), fmt.Sprintf("%0*d", width, v); got != want {
+				t.Fatalf("appendPadded(%d, %d) = %q, want %q", v, width, got, want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"gicnet/internal/geo"
 	"gicnet/internal/population"
@@ -69,15 +71,27 @@ func GenerateITU(cfg ITUConfig, rng *xrand.Source) (*topology.Network, error) {
 	coords := make([]geo.Coord, 0, cfg.Nodes)
 	clusterOf := make([]int, 0, cfg.Nodes)
 	clusterNodes := make([][]int, cfg.Clusters)
+	// Every node and link name is written into one buffer and every
+	// link's single segment into one backing array; names become
+	// substrings of the buffer's one string once generation is done.
+	var names strings.Builder
+	names.Grow(13*cfg.Nodes + 15*cfg.Links)
+	digits := make([]byte, 0, 20)
+	nodeNames := make([][2]int32, 0, cfg.Nodes) // [start, end) in names
+	cableNames := make([][2]int32, 0, cfg.Links)
+	segments := make([]topology.Segment, 0, cfg.Links)
 
 	addNode := func(c geo.Coord, cluster int) int {
 		idx := len(net.Nodes)
-		net.Nodes = append(net.Nodes, topology.Node{
-			Name: fmt.Sprintf("itu-c%03d-n%02d", cluster, len(clusterNodes[cluster])),
-			// HasCoord deliberately false: the ITU dataset has no
-			// usable coordinates (§4.1.3).
-			HasCoord: false,
-		})
+		// HasCoord deliberately false: the ITU dataset has no usable
+		// coordinates (§4.1.3).
+		net.Nodes = append(net.Nodes, topology.Node{HasCoord: false})
+		start := int32(names.Len())
+		names.WriteString("itu-c")
+		names.Write(appendPadded(digits[:0], cluster, 3))
+		names.WriteString("-n")
+		names.Write(appendPadded(digits[:0], len(clusterNodes[cluster]), 2))
+		nodeNames = append(nodeNames, [2]int32{start, int32(names.Len())})
 		coords = append(coords, c)
 		clusterOf = append(clusterOf, cluster)
 		clusterNodes[cluster] = append(clusterNodes[cluster], idx)
@@ -93,15 +107,23 @@ func GenerateITU(cfg ITUConfig, rng *xrand.Source) (*topology.Network, error) {
 	for extra := cfg.Nodes - 2*cfg.Clusters; extra > 0; extra-- {
 		sizes[rng.Intn(cfg.Clusters)]++
 	}
+	members := make([]int, cfg.Nodes) // every cluster's node list, end to end
+	for cl, off := 0, 0; cl < cfg.Clusters; cl++ {
+		clusterNodes[cl] = members[off : off : off+sizes[cl]]
+		off += sizes[cl]
+	}
 
-	linkID := 0
 	addCable := func(a, b int, lengthKm float64) {
+		start := int32(names.Len())
+		names.WriteString("itu-link-")
+		names.Write(appendPadded(digits[:0], len(net.Cables), 5))
+		cableNames = append(cableNames, [2]int32{start, int32(names.Len())})
+		segments = append(segments, topology.Segment{A: a, B: b, LengthKm: lengthKm})
+		k := len(segments)
 		net.Cables = append(net.Cables, topology.Cable{
-			Name:        fmt.Sprintf("itu-link-%05d", linkID),
-			Segments:    []topology.Segment{{A: a, B: b, LengthKm: lengthKm}},
+			Segments:    segments[k-1 : k : k],
 			KnownLength: true,
 		})
-		linkID++
 	}
 
 	for cl := 0; cl < cfg.Clusters; cl++ {
@@ -205,10 +227,31 @@ func GenerateITU(cfg ITUConfig, rng *xrand.Source) (*topology.Network, error) {
 		addCable(a, best, d)
 	}
 
+	all := names.String()
+	for i, span := range nodeNames {
+		net.Nodes[i].Name = all[span[0]:span[1]]
+	}
+	for k, span := range cableNames {
+		net.Cables[k].Name = all[span[0]:span[1]]
+	}
+
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("dataset: generated ITU network invalid: %w", err)
 	}
 	return net, nil
+}
+
+// appendPadded appends non-negative v in decimal, zero-padded to width
+// digits: fmt's %0<width>d without the formatting machinery.
+func appendPadded(b []byte, v, width int) []byte {
+	digits := 1
+	for x := v; x >= 10; x /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // nearestNodeTo returns the member of candidates whose coordinate is

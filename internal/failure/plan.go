@@ -23,10 +23,11 @@ const (
 
 // sampleGroup is one compile-time probability bucket: cables whose death
 // probabilities share the power-of-two envelope pmax, laid out contiguously
-// in the plan's groupCables/groupProbs arrays.
+// in the program's groupCables/groupThr arrays.
 type sampleGroup struct {
 	pmax    float64
-	invLogq float64 // 1 / log1p(-pmax): turns a uniform draw into a skip
+	invLogq float64    // 1 / log1p(-pmax): turns a uniform draw into a skip
+	skips   *skipTable // the envelope's skip table; nil beyond maxTableExp
 	start   int
 	end     int
 }
@@ -110,8 +111,8 @@ func CompileInto(p *Plan, net *topology.Network, m Model, spacingKm float64) err
 	p.net = net
 	p.modelName = p.nameOf(m)
 	p.spacingKm = spacingKm
-	p.deathProb = growFloats(p.deathProb, nc)
-	p.repeaters = growInts(p.repeaters, nc)
+	p.deathProb = grow(p.deathProb, nc)
+	p.repeaters = grow(p.repeaters, nc)
 	p.connected = net.ConnectedNodeCount()
 	p.inc = net.IncidenceBits()
 	for ci := range net.Cables {
@@ -172,13 +173,22 @@ func envExp(prob float64) int {
 // It is shared by the plan's native probabilities and by the tilted
 // distributions of the importance-sampling layer, which compile the same
 // program over a reweighted vector.
+//
+// Each decision is stored as an xrand.Threshold, which the pseudo-random
+// sampler compares raw draws against. The float sampler behind
+// SampleIntoU reads the probability vector the program was compiled from
+// instead; the two forms decide identically on every 53-bit draw.
 type samplerProgram struct {
-	dense       []int32 // cables sampled with one Bernoulli draw each
-	denseProb   []float64
+	dense       []int32  // cables sampled with one Bernoulli draw each
+	denseThr    []uint64 // xrand.Threshold of each cable's probability
 	groups      []sampleGroup
 	groupCables []int32
-	groupProbs  []float64
+	groupThr    []uint64 // xrand.Threshold(pr/pmax); certain when pr == pmax
 }
+
+// certain is the thinning threshold of a bucket cable whose probability is
+// the envelope itself: it dies on every candidate hit without a draw.
+const certain = math.MaxUint64
 
 // compile builds the program for probs, reusing backing arrays. The layout
 // is a pure function of the probabilities (no map iteration, no sorting),
@@ -186,8 +196,8 @@ type samplerProgram struct {
 func (sp *samplerProgram) compile(probs []float64) {
 	// Reserve worst-case capacity up front (every cable dense) so the
 	// scatter pass appends without doubling through realloc steps.
-	sp.dense = growInt32s(sp.dense, len(probs))[:0]
-	sp.denseProb = growFloats(sp.denseProb, len(probs))[:0]
+	sp.dense = grow(sp.dense, len(probs))[:0]
+	sp.denseThr = grow(sp.denseThr, len(probs))[:0]
 	sp.groups = sp.groups[:0]
 
 	// Pass 1: count bucket occupancy.
@@ -210,8 +220,8 @@ func (sp *samplerProgram) compile(probs []float64) {
 		offs[e] = total
 		total += counts[e]
 	}
-	sp.groupCables = growInt32s(sp.groupCables, int(total))
-	sp.groupProbs = growFloats(sp.groupProbs, int(total))
+	sp.groupCables = grow(sp.groupCables, int(total))
+	sp.groupThr = grow(sp.groupThr, int(total))
 
 	// Pass 2: scatter cables; within each bucket cables stay in ascending
 	// index order, which keeps the skip walk cache-friendly.
@@ -220,23 +230,25 @@ func (sp *samplerProgram) compile(probs []float64) {
 		if prob <= 0 || prob >= 1 {
 			continue
 		}
-		if o := fill[envExp(prob)]; o >= 0 {
+		e := envExp(prob)
+		if o := fill[e]; o >= 0 {
 			sp.groupCables[o] = int32(ci)
-			sp.groupProbs[o] = prob
-			fill[envExp(prob)] = o + 1
+			sp.groupThr[o] = xrand.Threshold(math.Ldexp(prob, e))
+			fill[e] = o + 1
 		} else {
 			sp.dense = append(sp.dense, int32(ci))
-			sp.denseProb = append(sp.denseProb, prob)
+			sp.denseThr = append(sp.denseThr, xrand.Threshold(prob))
 		}
 	}
 	for e := minSparseExp; e <= maxSparseExp; e++ {
 		if offs[e] < 0 {
 			continue
 		}
-		pmax := math.Ldexp(1, -e)
+		pmax, invLogq := envelope(e)
 		sp.groups = append(sp.groups, sampleGroup{
 			pmax:    pmax,
-			invLogq: 1 / math.Log1p(-pmax),
+			invLogq: invLogq,
+			skips:   skipTables.get(e),
 			start:   int(offs[e]),
 			end:     int(offs[e] + counts[e]),
 		})
@@ -249,34 +261,49 @@ func (sp *samplerProgram) compile(probs []float64) {
 // thinning each hit down to the cable's exact probability. Bits already
 // set in dead are left alone.
 //
+// It draws and decides exactly as the float sampler (sampleIntoU) does on
+// the same stream, with integer work only: a Bernoulli draw is a borrow
+// compare against the cable's threshold, and a skip is a lookup in the
+// envelope's skip table (math.Log only for envelopes beyond the tables).
+//
 //gicnet:hotpath
 func (sp *samplerProgram) sampleInto(dead graph.Bitset, rng *xrand.Source) {
-	denseProb := sp.denseProb
+	thr := sp.denseThr[:len(sp.dense)]
 	for k, ci := range sp.dense {
-		if rng.Float64() < denseProb[k] {
-			dead.Set(int(ci))
-		}
+		c := uint32(ci)
+		dead[c>>6] |= rng.Below(thr[k]) << (c & 63)
 	}
 	for gi := range sp.groups {
 		g := &sp.groups[gi]
 		cables := sp.groupCables[g.start:g.end]
-		probs := sp.groupProbs[g.start:g.end]
+		thrs := sp.groupThr[g.start:g.end]
 		i := 0
 		for {
-			u := rng.Float64()
-			if u <= 0 {
+			m := rng.Uint64() >> 11 // the 53-bit draw behind Float64
+			if m == 0 {
 				break // log(0) = -Inf: the skip overshoots any group
 			}
-			// Geometric skip: the next candidate under a Bernoulli(pmax)
-			// scan is floor(log(u)/log(1-pmax)) positions ahead. Compare in
-			// float space before converting — the skip can exceed int range.
-			t := math.Log(u) * g.invLogq
-			if t >= float64(len(cables)-i) {
-				break
+			left := len(cables) - i
+			if g.skips != nil {
+				skip := g.skips.skip(m)
+				if skip >= left {
+					break
+				}
+				i += skip
+			} else {
+				// Compare in float space before converting — the skip can
+				// exceed int range.
+				t := skipOf(float64(m)/(1<<53), g.invLogq)
+				if t >= float64(left) {
+					break
+				}
+				i += int(t)
 			}
-			i += int(t)
-			if pr := probs[i]; pr >= g.pmax || rng.Float64()*g.pmax < pr {
-				dead.Set(int(cables[i]))
+			c := uint32(cables[i])
+			if th := thrs[i]; th == certain {
+				dead[c>>6] |= 1 << (c & 63)
+			} else {
+				dead[c>>6] |= rng.Below(th) << (c & 63)
 			}
 			i++
 		}
@@ -306,7 +333,7 @@ func (p *Plan) buildSampler() {
 	// mask. Nodes with no cables are excluded (they are outside the
 	// NodeFrac denominator too).
 	inc := p.inc
-	p.vulnNodes = growInt32s(p.vulnNodes, len(inc.MinCable))[:0]
+	p.vulnNodes = grow(p.vulnNodes, len(inc.MinCable))[:0]
 	for ni := range inc.MinCable {
 		lo, hi := inc.NodeStart[ni], inc.NodeStart[ni+1]
 		if lo == hi {
@@ -506,7 +533,8 @@ func (p *Plan) DeathProbs() []float64 {
 // Validate checks the plan's internal invariants: every death probability
 // in [0,1] and finite, repeater counts non-negative, the incidence view
 // shaped for the network, and the sampling program covering every cable
-// with positive probability exactly once. Compile always produces a valid
+// with positive probability exactly once, with every stored threshold
+// deciding its probability exactly. Compile always produces a valid
 // plan; Validate exists so the verification subsystem can prove that
 // rather than assume it.
 func (p *Plan) Validate() error {
@@ -532,42 +560,8 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("failure: plan %s/%s: connected node count %d outside [0,%d]",
 			p.net.Name, p.modelName, p.connected, len(p.net.Nodes))
 	}
-	// Sampling program coverage: each cable must be handled by exactly one
-	// of the template, the dense list, or a sparse group — and only cables
-	// with probability 0 may be absent.
-	seen := make([]int, len(p.deathProb))
-	for ci := range seen {
-		if p.baseDead.Get(ci) {
-			seen[ci]++
-		}
-	}
-	for _, ci := range p.prog.dense {
-		seen[ci]++
-	}
-	for gi := range p.prog.groups {
-		g := &p.prog.groups[gi]
-		if !(g.pmax > 0 && g.pmax <= 0.25) || g.invLogq >= 0 {
-			return fmt.Errorf("failure: plan %s/%s: sparse group %d has envelope %v invLogq %v",
-				p.net.Name, p.modelName, gi, g.pmax, g.invLogq)
-		}
-		for k := g.start; k < g.end; k++ {
-			seen[p.prog.groupCables[k]]++
-			//gicnet:allow floatcmp groupProbs entries must be bit-identical copies of deathProb
-			if pr := p.prog.groupProbs[k]; pr > g.pmax || pr != p.deathProb[p.prog.groupCables[k]] {
-				return fmt.Errorf("failure: plan %s/%s: cable %d probability %v escapes envelope %v",
-					p.net.Name, p.modelName, p.prog.groupCables[k], pr, g.pmax)
-			}
-		}
-	}
-	for ci, n := range seen {
-		want := 1
-		if p.deathProb[ci] == 0 {
-			want = 0
-		}
-		if n != want {
-			return fmt.Errorf("failure: plan %s/%s: cable %d appears %d times in the sampling program, want %d",
-				p.net.Name, p.modelName, ci, n, want)
-		}
+	if err := p.prog.validate(p.deathProb, p.baseDead); err != nil {
+		return fmt.Errorf("failure: plan %s/%s: %w", p.net.Name, p.modelName, err)
 	}
 	// vulnNodes must be exactly the connected nodes whose every incident
 	// cable is at risk — the block evaluator's correctness rests on this
@@ -598,6 +592,76 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
+// validate checks the program compiled over probs against them: each
+// cable is handled by exactly one of the template base (probability 1),
+// the dense list or a sparse group, and only probability-0 cables are
+// absent; every group holds only probabilities within its envelope and
+// carries that envelope's constants and skip table; and every stored
+// threshold decides its probability exactly on the 53-bit draw grid.
+func (sp *samplerProgram) validate(probs []float64, base graph.Bitset) error {
+	seen := make([]int, len(probs))
+	for ci := range seen {
+		if base.Get(ci) {
+			seen[ci]++
+		}
+	}
+	if len(sp.denseThr) != len(sp.dense) {
+		return fmt.Errorf("dense list has %d cables and %d thresholds", len(sp.dense), len(sp.denseThr))
+	}
+	for k, ci := range sp.dense {
+		seen[ci]++
+		if !thresholdDecides(sp.denseThr[k], probs[ci]) {
+			return fmt.Errorf("dense cable %d threshold %#x does not decide probability %v",
+				ci, sp.denseThr[k], probs[ci])
+		}
+	}
+	for gi := range sp.groups {
+		g := &sp.groups[gi]
+		e := envExp(g.pmax)
+		pmax, invLogq := envelope(e)
+		//gicnet:allow floatcmp the group constants must be envelope's, bit for bit
+		if !(g.pmax > 0 && g.pmax <= 0.25) || g.pmax != pmax || g.invLogq != invLogq || g.skips != skipTables.get(e) {
+			return fmt.Errorf("sparse group %d has envelope %v, invLogq %v and the wrong skip table",
+				gi, g.pmax, g.invLogq)
+		}
+		for k := g.start; k < g.end; k++ {
+			ci := sp.groupCables[k]
+			seen[ci]++
+			pr := probs[ci]
+			if !(pr > 0 && pr <= g.pmax) {
+				return fmt.Errorf("cable %d probability %v escapes envelope %v", ci, pr, g.pmax)
+			}
+			th := sp.groupThr[k]
+			if pr >= g.pmax && th != certain || pr < g.pmax && !thresholdDecides(th, math.Ldexp(pr, e)) {
+				return fmt.Errorf("cable %d thinning threshold %#x does not decide %v under envelope %v",
+					ci, th, pr, g.pmax)
+			}
+		}
+	}
+	for ci, n := range seen {
+		want := 1
+		if probs[ci] == 0 {
+			want = 0
+		}
+		if n != want {
+			return fmt.Errorf("cable %d appears %d times in the sampling program, want %d", ci, n, want)
+		}
+	}
+	return nil
+}
+
+// thresholdDecides reports whether t decides the event Float64() < p
+// exactly on the 53-bit draw grid: t is a whole number n of draws shifted
+// over the 11 bits Float64 drops, the last draw below it (n-1) passes the
+// float compare, and the first draw at it (n) fails.
+func thresholdDecides(t uint64, p float64) bool {
+	n := t >> 11
+	if t&(1<<11-1) != 0 || n == 0 || n >= 1<<53 {
+		return false
+	}
+	return float64(n-1)/(1<<53) < p && !(float64(n)/(1<<53) < p)
+}
+
 // ExpectedCableFrac is the analytic mean of the compiled probabilities —
 // the plan-level equivalent of the package function.
 func (p *Plan) ExpectedCableFrac() float64 {
@@ -611,23 +675,11 @@ func (p *Plan) ExpectedCableFrac() float64 {
 	return total / float64(len(p.deathProb))
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resliced to n elements, reallocated (zeroed) only when
+// its capacity is short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

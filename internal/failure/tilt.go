@@ -163,7 +163,8 @@ func (t *TiltedSampler) LogWeight(dead graph.Bitset) float64 {
 
 // Validate checks the sampler's internal invariants: tilted probabilities
 // share support with the plan's, adjustments are finite, and the compiled
-// program covers exactly the cables with tilted probability in (0,1).
+// program covers exactly the cables with tilted probability in (0,1), with
+// every stored threshold deciding its probability exactly.
 func (t *TiltedSampler) Validate() error {
 	p := t.plan
 	if len(t.qProb) != len(p.deathProb) || len(t.adj) != len(p.deathProb) {
@@ -183,6 +184,9 @@ func (t *TiltedSampler) Validate() error {
 		if math.IsNaN(t.adj[ci]) || math.IsInf(t.adj[ci], 0) {
 			return fmt.Errorf("failure: tilt adjustment %v for cable %d not finite", t.adj[ci], ci)
 		}
+	}
+	if err := t.prog.validate(t.qProb, p.baseDead); err != nil {
+		return fmt.Errorf("failure: tilted sampler: %w", err)
 	}
 	return nil
 }

@@ -18,34 +18,37 @@ type Uniforms interface {
 	Float64() float64
 }
 
-// sampleIntoU mirrors samplerProgram.sampleInto draw for draw against an
-// arbitrary uniform stream: the k-th draw decides exactly what the k-th
-// pseudo-random draw would. It is a separate body rather than a shared
-// generic so the pseudo-random hot path keeps its devirtualised calls; the
-// two loops must evolve together.
-func (sp *samplerProgram) sampleIntoU(dead graph.Bitset, u Uniforms) {
-	denseProb := sp.denseProb
-	for k, ci := range sp.dense {
-		if u.Float64() < denseProb[k] {
+// sampleIntoU is the sampling program in float form over probs, the vector
+// it was compiled from, against an arbitrary uniform stream: a Bernoulli
+// draw is u < p, a skip is floor(log(u)·invLogq), a thinning is
+// u·pmax < p. Quasi-Monte Carlo points are not confined to the 53-bit
+// grid of a pseudo-random draw, so this form is the only one that is
+// exact for them. Run on an xrand stream it is also the reference
+// sampleInto is held to: the integer thresholds and skip tables there
+// decide every 53-bit draw as these float expressions do
+// (FuzzSampleThresholds, TestSkipTablesMatchLog), so a change to the
+// distribution belongs in compile, which feeds both forms.
+func (sp *samplerProgram) sampleIntoU(dead graph.Bitset, u Uniforms, probs []float64) {
+	for _, ci := range sp.dense {
+		if u.Float64() < probs[ci] {
 			dead.Set(int(ci))
 		}
 	}
 	for gi := range sp.groups {
 		g := &sp.groups[gi]
 		cables := sp.groupCables[g.start:g.end]
-		probs := sp.groupProbs[g.start:g.end]
 		i := 0
 		for {
 			v := u.Float64()
 			if v <= 0 {
 				break // log(0) = -Inf: the skip overshoots any group
 			}
-			t := math.Log(v) * g.invLogq
+			t := skipOf(v, g.invLogq)
 			if t >= float64(len(cables)-i) {
 				break
 			}
 			i += int(t)
-			if pr := probs[i]; pr >= g.pmax || u.Float64()*g.pmax < pr {
+			if pr := probs[cables[i]]; pr >= g.pmax || u.Float64()*g.pmax < pr {
 				dead.Set(int(cables[i]))
 			}
 			i++
@@ -59,14 +62,14 @@ func (sp *samplerProgram) sampleIntoU(dead graph.Bitset, u Uniforms) {
 // quasi-Monte Carlo stream it is the plan half of the QMC estimator.
 func (p *Plan) SampleIntoU(dead graph.Bitset, u Uniforms) {
 	dead.CopyFrom(p.baseDead)
-	p.prog.sampleIntoU(dead, u)
+	p.prog.sampleIntoU(dead, u, p.deathProb)
 }
 
 // SampleIntoU is TiltedSampler.SampleInto drawing its uniforms from u; it
 // returns the trial's log likelihood ratio exactly as SampleInto does.
 func (t *TiltedSampler) SampleIntoU(dead graph.Bitset, u Uniforms) float64 {
 	dead.CopyFrom(t.plan.baseDead)
-	t.prog.sampleIntoU(dead, u)
+	t.prog.sampleIntoU(dead, u, t.qProb)
 	return t.LogWeight(dead)
 }
 
@@ -75,17 +78,17 @@ func (t *TiltedSampler) SampleIntoU(dead graph.Bitset, u Uniforms) float64 {
 // cable plus two per expected sparse-bucket hit plus one terminating draw
 // per bucket. QMC streams use it to size the low-discrepancy prefix of a
 // trial's draw sequence.
-func (p *Plan) Draws() int { return p.prog.expectedDraws() }
+func (p *Plan) Draws() int { return p.prog.expectedDraws(p.deathProb) }
 
 // Draws is Plan.Draws for the tilted program.
-func (t *TiltedSampler) Draws() int { return t.prog.expectedDraws() }
+func (t *TiltedSampler) Draws() int { return t.prog.expectedDraws(t.qProb) }
 
-func (sp *samplerProgram) expectedDraws() int {
+func (sp *samplerProgram) expectedDraws(probs []float64) int {
 	draws := float64(len(sp.dense) + len(sp.groups))
 	for gi := range sp.groups {
 		g := &sp.groups[gi]
-		for _, pr := range sp.groupProbs[g.start:g.end] {
-			draws += 2 * pr / g.pmax
+		for _, ci := range sp.groupCables[g.start:g.end] {
+			draws += 2 * probs[ci] / g.pmax
 		}
 	}
 	if draws > 1<<20 {

@@ -56,14 +56,19 @@ func WeightedBootstrapCI(xs, ws []float64, level float64, resamples int, rng *xr
 			return CI{}, errors.New("stats: weights must be finite and non-negative")
 		}
 	}
+	// Each resample gathers the same float products ws[j]*xs[j], so
+	// forming them once leaves every sum bit-identical.
+	wx := make([]float64, len(xs))
+	for j := range wx {
+		wx[j] = ws[j] * xs[j]
+	}
 	means := make([]float64, resamples)
 	for r := 0; r < resamples; r++ {
 		sum := 0.0
-		for i := 0; i < len(xs); i++ {
-			j := rng.Intn(len(xs))
-			sum += ws[j] * xs[j]
+		for i := 0; i < len(wx); i++ {
+			sum += wx[rng.Intn(len(wx))]
 		}
-		means[r] = sum / float64(len(xs))
+		means[r] = sum / float64(len(wx))
 	}
 	return percentileCI(means, level), nil
 }

@@ -106,3 +106,59 @@ func TestWeightedBootstrapCICoversWeightedMean(t *testing.T) {
 		t.Fatalf("interval degenerate: %+v", ci)
 	}
 }
+
+// weightedBootstrapRef is WeightedBootstrapCI's resampling loop in its
+// gather form: each resample multiplies the drawn weight and value.
+func weightedBootstrapRef(xs, ws []float64, level float64, resamples int, rng *xrand.Source) CI {
+	means := make([]float64, resamples)
+	for r := range means {
+		sum := 0.0
+		for i := 0; i < len(xs); i++ {
+			j := rng.Intn(len(xs))
+			sum += ws[j] * xs[j]
+		}
+		means[r] = sum / float64(len(xs))
+	}
+	return percentileCI(means, level)
+}
+
+// TestWeightedBootstrapCIMatchesGather pins the precomputed-product loop
+// to the gather form bit for bit, on importance-sampling-like weights
+// spanning many orders of magnitude and at a non-power-of-two size.
+func TestWeightedBootstrapCIMatchesGather(t *testing.T) {
+	rng := xrand.New(21)
+	for _, n := range []int{1, 7, 1000, 8191} {
+		xs := make([]float64, n)
+		ws := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64()
+			ws[i] = math.Exp(-30 * rng.Float64())
+		}
+		got, err := WeightedBootstrapCI(xs, ws, 0.9, 64, xrand.New(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		//gicnet:allow floatcmp the two loops sum identical products in identical order
+		if want := weightedBootstrapRef(xs, ws, 0.9, 64, xrand.New(uint64(n))); got != want {
+			t.Fatalf("n=%d: %+v, gather form %+v", n, got, want)
+		}
+	}
+}
+
+// BenchmarkWeightedBootstrapCI is the rare-event tail's interval at its
+// working size: 8,192 weighted draws, 200 resamples.
+func BenchmarkWeightedBootstrapCI(b *testing.B) {
+	rng := xrand.New(3)
+	xs := make([]float64, 8192)
+	ws := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = rng.Float64()
+		ws[i] = math.Exp(-10 * rng.Float64())
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := WeightedBootstrapCI(xs, ws, 0.95, 200, xrand.New(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,7 +13,10 @@
 // supports cheap key-derived splitting.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic 64-bit PRNG stream. The zero value is a valid
 // stream seeded with 0.
@@ -79,28 +82,41 @@ func (s *Source) Intn(n int) int {
 	// Lemire's multiply-shift rejection method, bias-free.
 	bound := uint64(n)
 	for {
-		v := s.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(s.Uint64(), bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
+// Threshold returns the integer form of the event Float64() < p: Below(t)
+// reports 1 for exactly the draws on which Float64() < p would hold. A
+// draw is Float64() = m·2^-53 with m the top 53 bits of Uint64(), so for p
+// in (0,1) the event is m < ceil(p·2^53), and shifting that bound back
+// over the 11 dropped bits compares the raw 64-bit draw instead. p <= 0
+// (and NaN) gives 0, which no draw is below; p >= 1 gives math.MaxUint64,
+// which callers treat as certain without drawing — no uint64 threshold
+// covers every draw, and a real one never reaches MaxUint64 because
+// ceil(p·2^53) <= 2^53-1 for every float64 below 1.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return math.MaxUint64
+	}
+	return uint64(math.Ceil(math.Ldexp(p, 53))) << 11
+}
+
+// Below draws the next 64 bits and returns 1 when they fall below t and 0
+// otherwise, as the borrow of an integer subtract (no branch). With
+// t = Threshold(p) it decides exactly what Float64() < p decides and
+// advances the stream by the same one draw.
 //
 //gicnet:hotpath
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
+func (s *Source) Below(t uint64) uint64 {
+	_, borrow := bits.Sub64(s.Uint64(), t, 0)
+	return borrow
 }
 
 // Range returns a uniform float64 in [lo, hi).
