@@ -518,6 +518,25 @@ func BenchmarkTrialLoopHighP(b *testing.B) {
 			plan.EvaluateBatch(&scratch, n, outcomes[:n])
 		}
 	})
+	// The counters' best case: every ITU cable dies at p=1 and 50 km, so
+	// each of the 7,254 vulnerable nodes dies in every trial.
+	itu, err := failure.Compile(w.ITU, failure.Uniform{P: 1}, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ituScratch failure.BatchScratch
+	ituScratch.Grow(itu)
+	itu.SampleBatch(&ituScratch, root, 0, failure.MaxBatch)
+	b.Run("evaluate-batched-itu-p1", func(b *testing.B) {
+		b.ReportAllocs()
+		for t0 := 0; t0 < b.N; t0 += failure.MaxBatch {
+			n := b.N - t0
+			if n > failure.MaxBatch {
+				n = failure.MaxBatch
+			}
+			itu.EvaluateBatch(&ituScratch, n, outcomes[:n])
+		}
+	})
 }
 
 // BenchmarkBitsetKernels times the multi-word popcount on its own, at the
@@ -622,16 +641,41 @@ func BenchmarkBitsetEvaluate(b *testing.B) {
 }
 
 // BenchmarkPlanCompile is the one-time cost a run pays to precompute its
-// per-cable probabilities, repeater counts and incidence lists.
+// per-cable probabilities, repeater counts and incidence lists ("compile"),
+// and the cost a uniform sweep pays at each point to recompile its arena
+// plan for the next probability on the same network and spacing
+// ("recompile", on ITU, the largest network, through ten probabilities).
 func BenchmarkPlanCompile(b *testing.B) {
 	w := benchWorld(b)
-	w.Submarine.CableIncidence() // charge the shared topology cache once
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := failure.Compile(w.Submarine, failure.S1(), 150); err != nil {
-			b.Fatal(err)
+	w.Submarine.CableIncidence() // charge the shared topology caches once
+	w.ITU.CableIncidence()
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := failure.Compile(w.Submarine, failure.S1(), 150); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("recompile", func(b *testing.B) {
+		var models []failure.Model
+		for _, p := range []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1} {
+			models = append(models, failure.Uniform{P: p})
+		}
+		var plan failure.Plan
+		for _, m := range models { // warm the arena's arrays and name memo
+			if err := failure.CompileInto(&plan, w.ITU, m, 50); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := failure.CompileInto(&plan, w.ITU, models[i%len(models)], 50); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkTrialLoopConnectivity races the two connectivity engines on one
@@ -791,43 +835,52 @@ func BenchmarkCrosslayerCompile(b *testing.B) {
 // BenchmarkCrosslayerTrialLoop measures cross-layer scoring — dead cables
 // to severed AS pairs and stranded users — of pre-sampled trial blocks on
 // the real submarine network and router catalog, in scalar and bitsliced
-// 64-trial block form, at p=0.001 (the sweep's low-p end, same regime the
-// sparse-sampler bench pins: a handful of whole-cable deaths per trial,
-// where the block path replaces the per-trial union-find with one
-// spanning-forest sweep; at high p nearly every edge dies per block and
-// the two paths converge). Both paths must report 0 allocs/op, and
-// `make bench-check` gates batched at ≥2× over scalar.
+// 64-trial block form, in two regimes. "scalar"/"batched" run at p=0.001
+// and 150 km, the sweep's low-p end: about ten cables die per trial, which
+// across a block still touches about 700 pair-edges and 660 component
+// labels, so the case measures the per-block forest and the per-trial
+// sweep when each trial cuts off only a few small pieces and nearly every
+// site stays with the anchor. "s1-scalar"/"s1-batched" run S1 at 150 km,
+// the regime of the serving workload's country-impact requests, where
+// every trial splits the map into hundreds of components. Every case must
+// report 0 allocs/op, and `make bench-check` gates batched at ≥2× over
+// scalar.
 func BenchmarkCrosslayerTrialLoop(b *testing.B) {
 	w := benchWorld(b)
 	idx, err := crosslayer.Compile(w.Submarine, w.Routers, routing.DefaultDemands())
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := failure.Compile(w.Submarine, failure.Uniform{P: 0.001}, 150)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var batch failure.BatchScratch
-	batch.Grow(plan)
 	var s crosslayer.Scratch
 	s.Grow(idx)
 	scores := make([]crosslayer.Score, failure.MaxBatch)
-	root := xrand.New(dataset.DefaultSeed)
-	plan.SampleBatch(&batch, root, 0, failure.MaxBatch)
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = idx.ScoreDead(batch.Row(i%failure.MaxBatch), &s)
+	for _, c := range []struct {
+		prefix string
+		model  failure.Model
+	}{{"", failure.Uniform{P: 0.001}}, {"s1-", failure.S1()}} {
+		plan, err := failure.Compile(w.Submarine, c.model, 150)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for t0 := 0; t0 < b.N; t0 += failure.MaxBatch {
-			n := b.N - t0
-			if n > failure.MaxBatch {
-				n = failure.MaxBatch
+		var batch failure.BatchScratch
+		batch.Grow(plan)
+		root := xrand.New(dataset.DefaultSeed)
+		plan.SampleBatch(&batch, root, 0, failure.MaxBatch)
+		b.Run(c.prefix+"scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = idx.ScoreDead(batch.Row(i%failure.MaxBatch), &s)
 			}
-			idx.ScoreBatch(&batch, n, scores[:n], &s)
-		}
-	})
+		})
+		b.Run(c.prefix+"batched", func(b *testing.B) {
+			b.ReportAllocs()
+			for t0 := 0; t0 < b.N; t0 += failure.MaxBatch {
+				n := b.N - t0
+				if n > failure.MaxBatch {
+					n = failure.MaxBatch
+				}
+				idx.ScoreBatch(&batch, n, scores[:n], &s)
+			}
+		})
+	}
 }

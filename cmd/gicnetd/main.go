@@ -10,7 +10,8 @@
 //
 // Endpoints:
 //
-//	POST /scenario  — body: a serve.Request JSON object; response: the
+//	POST /scenario  — body: a serve.Request JSON object of at most 1 MiB
+//	                  with no unknown fields; response: the
 //	                  serve.Response, including the deterministic replay
 //	                  fingerprint and provenance tag
 //	GET  /stats     — per-shard tier counters and contraction stats
@@ -78,15 +79,60 @@ func main() {
 		log.Fatal(err)
 	}
 
+	httpSrv := &http.Server{
+		Addr:    *addr,
+		Handler: newMux(srv),
+		// Bound how long a client may hold a connection without sending a
+		// request. No WriteTimeout: a large computed request can
+		// legitimately run for minutes before its response is written.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.ListenAndServe() }()
+	log.Printf("serving on %s", *addr)
+
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	select {
+	case err := <-errc:
+		srv.Close()
+		log.Fatal(err)
+	case sig := <-sigc:
+		log.Printf("got %v, shutting down", sig)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		log.Printf("http shutdown: %v", err)
+	}
+	srv.Close()
+}
+
+// maxRequestBytes bounds a /scenario body; a serve.Request is a few
+// hundred bytes of JSON.
+const maxRequestBytes = 1 << 20
+
+// newMux routes the daemon's endpoints to srv.
+func newMux(srv *serve.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/scenario", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST a serve.Request JSON object", http.StatusMethodNotAllowed)
 			return
 		}
+		// Unknown fields are refused, so a misspelt option (say "trails")
+		// fails instead of silently running the default.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		dec.DisallowUnknownFields()
 		var req serve.Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		if err := dec.Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 			return
 		}
 		resp, err := srv.Do(r.Context(), req)
@@ -108,27 +154,7 @@ func main() {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"ok": true, "worlds": len(srv.WorldSeeds())})
 	})
-
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s", *addr)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		srv.Close()
-		log.Fatal(err)
-	case sig := <-sigc:
-		log.Printf("got %v, shutting down", sig)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	srv.Close()
+	return mux
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

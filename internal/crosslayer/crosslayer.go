@@ -25,12 +25,14 @@
 // the anchor's component as stranded.
 //
 // Determinism contract: a trial's Score depends only on that trial's dead
-// bitset and the compiled index. Both scoring paths (ScoreDead and the
-// 64-trial bitsliced ScoreBatch) reduce to the same canonical
-// accumulation — sites visited in ascending node order, component slots
-// in first-seen order, fixed-order float reductions — so equal partitions
-// produce bit-identical Scores regardless of path, block boundaries, or
-// worker count.
+// bitset and the compiled index. The invariant both scoring paths (the
+// scalar reference ScoreDead and the 64-trial bitsliced ScoreBatch) keep
+// is the float order: the anchor component's user and region shares are
+// added site by site in ascending node order, and finishScore does the
+// rest of the arithmetic for both. The integer fields are sums over the
+// partition, exact in any order. Equal partitions therefore produce
+// bit-identical Scores regardless of path, block boundaries, or worker
+// count.
 package crosslayer
 
 import (
@@ -104,14 +106,13 @@ type Index struct {
 	cableEdges     []int32
 
 	// Sites: attach nodes in ascending node order, with aggregated AS
-	// counts, user shares, and a per-region user-share CSR.
-	sites       []int32
-	siteCount   []int64
-	siteUsers   []float64
-	regionStart []int32
-	regionIdx   []int32
-	regionMass  []float64
-	siteOf      []int32 // node -> site index, -1 when the node has no ASes
+	// counts, user shares, and user shares by region (zero for a region
+	// none of the site's ASes is homed in).
+	sites      []int32
+	siteCount  []int64
+	siteUsers  []float64
+	siteRegion [][NumRegions]float64
+	siteOf     []int32 // node -> site index, -1 when the node has no ASes
 
 	anchor      int32 // node index of the largest-user site
 	totalAS     int64
@@ -381,7 +382,6 @@ func (x *Index) attachASes(cat *dataset.RouterCatalog, cand []int32, nearest []i
 	for i := range x.siteOf {
 		x.siteOf[i] = -1
 	}
-	x.regionStart = append(x.regionStart, 0)
 	for ni := 0; ni < x.numNodes; ni++ {
 		if count[ni] == 0 {
 			continue
@@ -390,23 +390,19 @@ func (x *Index) attachASes(cat *dataset.RouterCatalog, cand []int32, nearest []i
 		x.sites = append(x.sites, int32(ni))
 		x.siteCount = append(x.siteCount, count[ni])
 		x.siteUsers = append(x.siteUsers, users[ni])
-		for ri := 0; ri < NumRegions; ri++ {
-			if m := regionAcc[ni][ri]; m != 0 {
-				x.regionIdx = append(x.regionIdx, int32(ri))
-				x.regionMass = append(x.regionMass, m)
-			}
-		}
-		x.regionStart = append(x.regionStart, int32(len(x.regionIdx)))
+		x.siteRegion = append(x.siteRegion, regionAcc[ni])
 	}
 
 	// Totals in the exact order the anchor-component accumulation visits
-	// them, so a fully connected trial strands exactly zero.
+	// them, so a fully connected trial strands exactly zero. Region masses
+	// are never negative, and adding +0 to a non-negative sum returns it
+	// unchanged, so a site's zero masses leave every total as it was.
 	bestSite := 0
 	for si := range x.sites {
 		x.totalAS += x.siteCount[si]
 		x.totalUsers += x.siteUsers[si]
-		for k := x.regionStart[si]; k < x.regionStart[si+1]; k++ {
-			x.regionTotal[x.regionIdx[k]] += x.regionMass[k]
+		for ri, m := range &x.siteRegion[si] {
+			x.regionTotal[ri] += m
 		}
 		if x.siteUsers[si] > x.siteUsers[bestSite] {
 			bestSite = si
@@ -419,94 +415,131 @@ func (x *Index) attachASes(cat *dataset.RouterCatalog, cand []int32, nearest []i
 // allocate. The zero value is ready for Grow; one Scratch serves one
 // goroutine.
 type Scratch struct {
-	uf   graph.UnionFind // full-graph components (scalar path, block-intact)
-	mini graph.UnionFind // per-trial label components (batched path)
+	uf graph.UnionFind // full-graph components (scalar path, block-intact)
 
-	siteRoot  []int32 // per site: component root (node id or label)
+	// Scalar path: scoreFromRoots' first-seen component slots.
+	siteRoot  []int32 // per site: component root (node id)
 	remapGen  []uint32
 	remapSlot []int32 // root -> first-seen slot, generation-stamped
 	remapCtr  uint32
 	slotCount []int64 // AS count per component slot
 
-	cols       []uint64 // per-cable trial columns, batched path
-	touched    []int32  // edges with a nonzero dead column this block
-	touchedCol []uint64
-	touchedA   []int32 // compact labels of touched edge endpoints
-	touchedB   []int32
-	edgeSeen   []uint32 // per-edge stamps, shared counter edgeCtr
-	edgeDead   []uint32
-	edgeCtr    uint32
-	siteLabel  []int32
-	treeFlag   []bool  // per touched edge: spanning-forest member
-	extra      []int32 // cycle-closing touched edges (non-tree)
-	adjStart   []int32 // forest adjacency CSR over compact labels
-	adjList    []int32
-	adjEdge    []int32
-	parentLab  []int32  // per label: forest parent label, -1 at roots
-	parentEdge []int32  // per label: touched index of the parent edge
-	order      []int32  // labels, parents before children
-	stack      []int32  // DFS worklist
-	comp       []int32  // per-trial: label -> forest component id
-	labelRoot  []int32  // per-trial: component -> root after extras rejoin
-	nodeGen    []uint32 // root node -> label, generation-stamped
-	nodeLabel  []int32
-	nodeCtr    uint32
-	nLabels    int32
+	// Batched path, per block: the touched-edge forest over compact labels
+	// of block-intact components.
+	cols        []uint64 // per-cable trial columns
+	touched     []int32  // edges with a nonzero dead column this block
+	touchedCol  []uint64
+	touchedA    []int32 // compact labels of touched edge endpoints
+	touchedB    []int32
+	edgeSeen    []uint32 // per-edge stamps, shared counter edgeCtr
+	edgeDead    []uint32
+	edgeCtr     uint32
+	siteLabel   []int32
+	anchorLabel int32
+	byDeaths    []int32 // touched edges by ascending dead-trial count
+	treeFlag    []bool  // per touched edge: spanning-forest member
+	extra       []int32 // cycle-closing touched edges (non-tree)
+	adjStart    []int32 // forest adjacency CSR over compact labels
+	adjList     []int32
+	adjEdge     []int32
+	parentLab   []int32  // per label: forest parent label, -1 at roots
+	parentEdge  []int32  // per label: touched index of the parent edge
+	order       []int32  // labels in preorder, parents before children
+	stack       []int32  // DFS worklist
+	nodeGen     []uint32 // root node -> label, generation-stamped
+	nodeLabel   []int32
+	nodeCtr     uint32
+	nLabels     int32
+
+	// Batched path, per block: the pruned forest by preorder position.
+	labelAS   []int64  // per label: ASes attached
+	pinned    []bool   // per label: carries ASes, the anchor or an extra end
+	kids      []int32  // per label: children leading to a pinned label
+	up        []int32  // per label: position its children hang under, -1 none
+	acc       []uint64 // per label: dead column of the spliced path up to it
+	pos       []int32  // per kept label: its position
+	par       []int32  // per position: parent position (itself at a root)
+	pcol      []uint64 // per position: parent edge's dead column, ^0 at a root
+	asPos     []int32  // positions carrying ASes, ascending
+	asCnt     []int64  // their AS counts
+	asPairs   int64    // AS pairs within one position
+	sitePos   []int32  // per site: its position
+	extraA    []int32  // per extra: endpoint positions and dead column
+	extraB    []int32
+	extraCol  []uint64
+	nPos      int
+	nAS       int
+	nExtra    int
+	anchorPos int32
+
+	// Batched path, per trial.
+	id     []int32 // per position: component id
+	rep    []int32 // per id: merge representative; the identity between trials
+	merged []int32 // ids whose rep the current trial changed
+	cnt    []int64 // per id: ASes
 }
 
 // Grow sizes the scratch for x, reusing backing arrays when large enough.
 // Call once per (goroutine, index) before the trial loop.
 func (s *Scratch) Grow(x *Index) {
-	growI32 := func(b []int32, n int) []int32 {
-		if cap(b) < n {
-			return make([]int32, n)
-		}
-		return b[:n]
+	nSites, nEdges, nNodes := len(x.sites), len(x.edgeA), x.numNodes
+	s.siteRoot = grow(s.siteRoot, nSites)
+	s.remapGen = grow(s.remapGen, nNodes)
+	s.remapSlot = grow(s.remapSlot, nNodes)
+	s.slotCount = grow(s.slotCount, nSites)
+
+	s.cols = grow(s.cols, x.words*64)
+	s.touched = grow(s.touched, nEdges)
+	s.touchedCol = grow(s.touchedCol, nEdges)
+	s.touchedA = grow(s.touchedA, nEdges)
+	s.touchedB = grow(s.touchedB, nEdges)
+	s.edgeSeen = grow(s.edgeSeen, nEdges)
+	s.edgeDead = grow(s.edgeDead, nEdges)
+	s.siteLabel = grow(s.siteLabel, nSites)
+	s.byDeaths = grow(s.byDeaths, nEdges)
+	s.treeFlag = grow(s.treeFlag, nEdges)
+	s.extra = grow(s.extra, nEdges)
+	s.adjStart = grow(s.adjStart, nNodes+2)
+	s.adjList = grow(s.adjList, 2*nEdges)
+	s.adjEdge = grow(s.adjEdge, 2*nEdges)
+	s.parentLab = grow(s.parentLab, nNodes+1)
+	s.parentEdge = grow(s.parentEdge, nNodes+1)
+	s.order = grow(s.order, nNodes+1)
+	s.stack = grow(s.stack, nNodes+1)
+	s.nodeGen = grow(s.nodeGen, nNodes)
+	s.nodeLabel = grow(s.nodeLabel, nNodes)
+
+	s.labelAS = grow(s.labelAS, nNodes)
+	s.pinned = grow(s.pinned, nNodes)
+	s.kids = grow(s.kids, nNodes)
+	s.up = grow(s.up, nNodes)
+	s.acc = grow(s.acc, nNodes)
+	s.pos = grow(s.pos, nNodes)
+	s.par = grow(s.par, nNodes)
+	s.pcol = grow(s.pcol, nNodes)
+	s.asPos = grow(s.asPos, nSites)
+	s.asCnt = grow(s.asCnt, nSites)
+	s.sitePos = grow(s.sitePos, nSites)
+	s.extraA = grow(s.extraA, nEdges)
+	s.extraB = grow(s.extraB, nEdges)
+	s.extraCol = grow(s.extraCol, nEdges)
+
+	s.id = grow(s.id, nNodes)
+	s.rep = grow(s.rep, nNodes)
+	for i := range s.rep {
+		s.rep[i] = int32(i)
 	}
-	growU32 := func(b []uint32, n int) []uint32 {
-		if cap(b) < n {
-			return make([]uint32, n)
-		}
-		return b[:n]
+	s.merged = grow(s.merged, nEdges)
+	s.cnt = grow(s.cnt, nNodes)
+}
+
+// grow returns b resliced to n elements, reallocated only when its
+// capacity is short.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
-	nSites, nEdges := len(x.sites), len(x.edgeA)
-	s.siteRoot = growI32(s.siteRoot, nSites)
-	s.siteLabel = growI32(s.siteLabel, nSites)
-	if cap(s.treeFlag) < nEdges {
-		s.treeFlag = make([]bool, nEdges)
-	}
-	s.treeFlag = s.treeFlag[:nEdges]
-	s.extra = growI32(s.extra, nEdges)
-	s.adjStart = growI32(s.adjStart, x.numNodes+2)
-	s.adjList = growI32(s.adjList, 2*nEdges)
-	s.adjEdge = growI32(s.adjEdge, 2*nEdges)
-	s.parentLab = growI32(s.parentLab, x.numNodes+1)
-	s.parentEdge = growI32(s.parentEdge, x.numNodes+1)
-	s.order = growI32(s.order, x.numNodes+1)
-	s.stack = growI32(s.stack, x.numNodes+1)
-	s.comp = growI32(s.comp, x.numNodes+1)
-	if cap(s.slotCount) < nSites {
-		s.slotCount = make([]int64, nSites)
-	}
-	s.slotCount = s.slotCount[:nSites]
-	s.remapGen = growU32(s.remapGen, x.numNodes)
-	s.remapSlot = growI32(s.remapSlot, x.numNodes)
-	s.nodeGen = growU32(s.nodeGen, x.numNodes)
-	s.nodeLabel = growI32(s.nodeLabel, x.numNodes)
-	s.labelRoot = growI32(s.labelRoot, x.numNodes+1)
-	s.edgeSeen = growU32(s.edgeSeen, nEdges)
-	s.edgeDead = growU32(s.edgeDead, nEdges)
-	s.touched = growI32(s.touched, nEdges)
-	s.touchedA = growI32(s.touchedA, nEdges)
-	s.touchedB = growI32(s.touchedB, nEdges)
-	if cap(s.touchedCol) < nEdges {
-		s.touchedCol = make([]uint64, nEdges)
-	}
-	s.touchedCol = s.touchedCol[:nEdges]
-	if cap(s.cols) < x.words*64 {
-		s.cols = make([]uint64, x.words*64)
-	}
-	s.cols = s.cols[:x.words*64]
+	return b[:n]
 }
 
 // nextRemapGen advances the remap stamp, clearing on wraparound.
@@ -557,21 +590,20 @@ func (x *Index) ScoreDead(dead graph.Bitset, s *Scratch) Score {
 	return x.scoreFromRoots(s, int32(s.uf.Find(int(x.anchor))))
 }
 
-// scoreFromRoots is the canonical accumulation both scoring paths share:
-// s.siteRoot holds, per site, any component identifier such that equal
-// identifiers mean same component, and anchorRoot is the anchor's. Slots
-// are assigned in first-seen site order and all float reductions run in
-// fixed order, so equal partitions yield bit-identical Scores.
+// scoreFromRoots is the scalar reference accumulation: s.siteRoot holds,
+// per site, any component identifier such that equal identifiers mean
+// same component, and anchorRoot is the anchor's. It counts ASes per
+// component in first-seen slots and adds the anchor component's user and
+// region masses over the sites in ascending node order — the float order
+// ScoreBatch keeps — so equal partitions yield bit-identical Scores.
 //
 //gicnet:hotpath
 //gicnet:pure allow=write:s
 func (x *Index) scoreFromRoots(s *Scratch, anchorRoot int32) Score {
 	gen := s.nextRemapGen()
 	nSlots := int32(0)
-	var sc Score
 	var anchorCount int64
-	var anchorUsers float64
-	var anchorRegion [NumRegions]float64
+	var users, r0, r1, r2, r3, r4, r5, r6 float64 // as in scoreTrial
 	for si := 0; si < len(x.sites); si++ {
 		r := s.siteRoot[si]
 		var slot int32
@@ -587,17 +619,35 @@ func (x *Index) scoreFromRoots(s *Scratch, anchorRoot int32) Score {
 		s.slotCount[slot] += x.siteCount[si]
 		if r == anchorRoot {
 			anchorCount += x.siteCount[si]
-			anchorUsers += x.siteUsers[si]
-			for k := x.regionStart[si]; k < x.regionStart[si+1]; k++ {
-				anchorRegion[x.regionIdx[k]] += x.regionMass[k]
-			}
+			users += x.siteUsers[si]
+			m := &x.siteRegion[si]
+			r0 += m[0]
+			r1 += m[1]
+			r2 += m[2]
+			r3 += m[3]
+			r4 += m[4]
+			r5 += m[5]
+			r6 += m[6]
 		}
 	}
+	pairs := int64(0)
 	for i := int32(0); i < nSlots; i++ {
 		c := s.slotCount[i]
-		sc.ReachablePairs += c * (c - 1) / 2
+		pairs += c * (c - 1) / 2
 	}
-	sc.StrandedASes = x.totalAS - anchorCount
+	region := [NumRegions]float64{r0, r1, r2, r3, r4, r5, r6}
+	return x.finishScore(pairs, anchorCount, users, &region)
+}
+
+// finishScore assembles a Score from a partition's reachable AS pairs and
+// the anchor component's AS count, user share and region masses, with the
+// exact float expressions both scoring paths share — the divisions and the
+// demand-weighted sum run here and nowhere else.
+//
+//gicnet:hotpath
+//gicnet:pure
+func (x *Index) finishScore(pairs, anchorCount int64, anchorUsers float64, anchorRegion *[NumRegions]float64) Score {
+	sc := Score{ReachablePairs: pairs, StrandedASes: x.totalAS - anchorCount}
 	if x.totalUsers > 0 {
 		sc.StrandedShare = (x.totalUsers - anchorUsers) / x.totalUsers
 		dw := 0.0

@@ -283,56 +283,173 @@ func TestDifferentialVsBFS(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesScalarRandom pins batched ≡ scalar bit-identity over
-// random worlds and blocks: every Score field, including floats, must be
-// exactly equal (same canonical accumulation, same partition).
-func TestBatchMatchesScalarRandom(t *testing.T) {
-	demands := routing.DefaultDemands()
-	for wi := 0; wi < 60; wi++ {
-		rng := xrand.New(uint64(5000 + wi))
-		net, cat := randomWorld(rng)
-		x, err := Compile(net, cat, demands)
-		if err == ErrNoSites {
-			continue
+// meshWorld synthesises a small dense network: few nodes and many
+// multi-segment cables, so the touched pair-edge graph of a block is full
+// of cycles and most of its edges are cycle-closing extras.
+func meshWorld(rng *xrand.Source) (*topology.Network, *dataset.RouterCatalog) {
+	net, cat := randomWorld(rng)
+	numNodes := 3 + rng.Intn(8)
+	net.Nodes = net.Nodes[:min(numNodes, len(net.Nodes))]
+	net.Cables = net.Cables[:0]
+	for c := 0; c < 30+rng.Intn(40); c++ {
+		cable := topology.Cable{Name: fmt.Sprintf("m%d", c), KnownLength: true}
+		for s := 0; s < 1+rng.Intn(3); s++ {
+			cable.Segments = append(cable.Segments, topology.Segment{
+				A: rng.Intn(len(net.Nodes)), B: rng.Intn(len(net.Nodes)), LengthKm: rng.Range(1, 5000),
+			})
 		}
-		if err != nil {
-			t.Fatalf("world %d: Compile: %v", wi, err)
-		}
-		var s Scratch
-		s.Grow(x)
-		numCables := len(net.Cables)
-		words := graph.BitsetWords(numCables)
+		net.Cables = append(net.Cables, cable)
+	}
+	return net, cat
+}
 
-		// Hand-rolled block: random rows, including full-dead and empty.
-		masks := make(graph.Bitset, 64*words)
-		n := 1 + rng.Intn(64)
-		for b := 0; b < n; b++ {
-			row := masks[b*words : (b+1)*words]
-			switch rng.Intn(8) {
-			case 0: // empty
-			case 1:
-				for ci := 0; ci < numCables; ci++ {
-					row.Set(ci)
-				}
-			default:
-				p := rng.Float64()
-				for ci := 0; ci < numCables; ci++ {
-					if rng.Float64() < p {
+// blockRows fills the first n rows of a block with random dead sets: each
+// row empty, all dead, or dead at a random per-row probability. Cables in
+// keep stay alive in every row; when cutAnchor is set, every third row
+// also kills each cable touching the anchor, cutting its component away.
+func blockRows(rng *xrand.Source, x *Index, masks graph.Bitset, words, n int, keep []bool, cutAnchor bool) {
+	net := x.Network()
+	for b := 0; b < n; b++ {
+		row := masks[b*words : (b+1)*words]
+		p := rng.Float64()
+		mode := rng.Intn(8)
+		for ci := range net.Cables {
+			if keep != nil && keep[ci] {
+				continue
+			}
+			if mode == 1 || mode > 1 && rng.Float64() < p {
+				row.Set(ci)
+			}
+		}
+		if cutAnchor && b%3 == 0 {
+			for ci := range net.Cables {
+				for _, sg := range net.Cables[ci].Segments {
+					if int32(sg.A) == x.anchor || int32(sg.B) == x.anchor {
 						row.Set(ci)
 					}
 				}
 			}
 		}
-		batch := batchFromMasks(t, x, masks, words)
-		out := make([]Score, 64)
-		x.ScoreBatch(batch, n, out, &s)
-		var s2 Scratch
-		s2.Grow(x)
-		for b := 0; b < n; b++ {
-			want := x.ScoreDead(masks[b*words:(b+1)*words], &s2)
-			if !scoresBitIdentical(out[b], want) {
-				t.Fatalf("world %d trial %d: batch %+v != scalar %+v", wi, b, out[b], want)
+	}
+}
+
+// TestBatchMatchesScalarRandom pins batched ≡ scalar bit-identity over
+// random worlds and blocks: every Score field, including floats, must be
+// exactly equal (same partition, same float order). Beyond plain random
+// worlds it covers mesh-like worlds whose blocks are mostly cycle-closing
+// extras, blocks that cut the anchor's component away, and blocks whose
+// always-alive cables gather several sites under one label; each kind
+// must actually occur.
+func TestBatchMatchesScalarRandom(t *testing.T) {
+	demands := routing.DefaultDemands()
+	kinds := []struct {
+		name  string
+		world func(*xrand.Source) (*topology.Network, *dataset.RouterCatalog)
+		keep  bool // keep a random half of the cables alive in the block
+		cut   bool
+		seen  func(x *Index, s *Scratch) bool
+	}{
+		{"random", randomWorld, false, false, func(*Index, *Scratch) bool { return true }},
+		{"mesh", meshWorld, false, false, func(_ *Index, s *Scratch) bool { return s.nExtra >= 4 }},
+		{"anchor-cut", randomWorld, false, true, func(_ *Index, s *Scratch) bool { return s.nPos > 1 }},
+		{"shared-labels", randomWorld, true, false, func(x *Index, s *Scratch) bool { return s.nAS < len(x.sites) }},
+	}
+	for ki, kind := range kinds {
+		seen := false
+		for wi := 0; wi < 60; wi++ {
+			rng := xrand.New(uint64(5000 + 100*ki + wi))
+			net, cat := kind.world(rng)
+			x, err := Compile(net, cat, demands)
+			if err == ErrNoSites {
+				continue
 			}
+			if err != nil {
+				t.Fatalf("%s world %d: Compile: %v", kind.name, wi, err)
+			}
+			var s Scratch
+			s.Grow(x)
+			numCables := len(net.Cables)
+			words := graph.BitsetWords(numCables)
+			var keep []bool
+			if kind.keep {
+				keep = make([]bool, numCables)
+				for ci := range keep {
+					keep[ci] = rng.Intn(2) == 0
+				}
+			}
+			masks := make(graph.Bitset, 64*words)
+			n := 1 + rng.Intn(64)
+			blockRows(rng, x, masks, words, n, keep, kind.cut)
+			batch := batchFromMasks(t, x, masks, words)
+			out := make([]Score, 64)
+			x.ScoreBatch(batch, n, out, &s)
+			seen = seen || kind.seen(x, &s)
+			var s2 Scratch
+			s2.Grow(x)
+			for b := 0; b < n; b++ {
+				want := x.ScoreDead(masks[b*words:(b+1)*words], &s2)
+				if !scoresBitIdentical(out[b], want) {
+					t.Fatalf("%s world %d trial %d: batch %+v != scalar %+v", kind.name, wi, b, out[b], want)
+				}
+			}
+		}
+		if !seen {
+			t.Errorf("%s: no world produced the block shape this case exists for", kind.name)
+		}
+	}
+}
+
+// TestBatchRelayThroughExtra hand-builds the case pruning must not break:
+// an AS-free relay node (no coordinates, so no AS attaches to it) joins the
+// anchor's site to a second site only around a cycle. The relay's edge to
+// the second site dies most often in the block, so it becomes the
+// cycle-closing extra and the relay a leaf of the forest with no AS. In
+// trial 0 the direct cable is dead and both relay cables alive: the sites
+// stay connected only through the extra, so the relay must survive pruning
+// and the merge must happen.
+func TestBatchRelayThroughExtra(t *testing.T) {
+	net := &topology.Network{Name: "relay", Nodes: []topology.Node{
+		{Name: "anchor", Coord: geo.Coord{Lat: 10, Lon: 10}, HasCoord: true},
+		{Name: "relay"},
+		{Name: "far", Coord: geo.Coord{Lat: -20, Lon: 100}, HasCoord: true},
+	}}
+	for _, sg := range []topology.Segment{{A: 0, B: 2}, {A: 0, B: 1}, {A: 1, B: 2}} {
+		sg.LengthKm = 1000
+		net.Cables = append(net.Cables, topology.Cable{Name: "c", KnownLength: true, Segments: []topology.Segment{sg}})
+	}
+	const direct, toRelay, relayOut = 0, 1, 2
+	cat := &dataset.RouterCatalog{}
+	for i, home := range []geo.Coord{{Lat: 11, Lon: 10}, {Lat: 9, Lon: 11}, {Lat: 12, Lon: 9}, {Lat: -21, Lon: 101}} {
+		cat.ASes = append(cat.ASes, dataset.AS{ASN: 64512 + i, Home: home, Routers: []geo.Coord{home}})
+	}
+	x, err := Compile(net, cat, routing.DefaultDemands())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Sites() != 2 || x.SiteOf(1) != -1 {
+		t.Fatalf("want two sites and none at the relay, got %d sites", x.Sites())
+	}
+	words := graph.BitsetWords(len(net.Cables))
+	masks := make(graph.Bitset, 64*words)
+	rows := [][]int{{direct}, {relayOut}, {relayOut}, {relayOut}, {relayOut, toRelay}, {direct, relayOut}}
+	for b, dead := range rows {
+		for _, ci := range dead {
+			masks[b*words : (b+1)*words].Set(ci)
+		}
+	}
+	var s Scratch
+	s.Grow(x)
+	out := make([]Score, 64)
+	x.ScoreBatch(batchFromMasks(t, x, masks, words), len(rows), out, &s)
+	if s.nExtra != 1 {
+		t.Fatalf("want the relay's outbound edge as the one extra, got %d extras", s.nExtra)
+	}
+	if out[0].StrandedASes != 0 || out[0].ReachablePairs != 6 {
+		t.Fatalf("trial 0: sites joined through the relay scored %+v", out[0])
+	}
+	for b := range rows {
+		if want := x.ScoreDead(masks[b*words:(b+1)*words], &s); !scoresBitIdentical(out[b], want) {
+			t.Fatalf("trial %d: batch %+v != scalar %+v", b, out[b], want)
 		}
 	}
 }

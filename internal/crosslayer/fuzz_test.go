@@ -82,7 +82,7 @@ func worldFromBytes(r *fuzzReader) (*topology.Network, *dataset.RouterCatalog, [
 // degenerate worlds: Compile must never panic and must attach every AS
 // where the all-pairs scan does, and when it succeeds the scores must
 // satisfy the structural invariants (bounded shares, pair counts monotone
-// under growing dead sets, batched ≡ scalar).
+// under growing dead sets, batched ≡ scalar over a block of those sets).
 func FuzzCableASAdjacency(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 10, 20, 1, 30, 40, 1, 5, 60, 2, 1, 0, 1, 100, 2, 3, 50, 80, 2})
@@ -126,17 +126,40 @@ func FuzzCableASAdjacency(f *testing.F) {
 		numCables := len(net.Cables)
 		dead := graph.NewBitset(numCables)
 
+		// Every dead set below also becomes one row of a block (up to
+		// failure.MaxBatch rows), which the batched path must score
+		// exactly as the scalar one: nested dead sets give the block's
+		// forest edges that die in some trials and live in others.
+		var batch failure.BatchScratch
+		rows := 0
+		addRow := func() {}
+		if numCables > 0 {
+			plan, err := failure.Compile(net, failure.Uniform{P: 0.5}, 100)
+			if err != nil {
+				return
+			}
+			batch.Grow(plan)
+			addRow = func() {
+				if rows < failure.MaxBatch {
+					copy(batch.Row(rows), dead)
+					rows++
+				}
+			}
+		}
+
 		// Grow the dead set one cable at a time, driven by input bytes:
 		// reachable pairs must never increase, stranding never decrease.
 		prev := x.ScoreDead(dead, &s)
 		if !scoresBitIdentical(prev, x.Intact()) {
 			t.Fatalf("empty mask score %+v != intact %+v", prev, x.Intact())
 		}
+		addRow()
 		for ci := 0; ci < numCables; ci++ {
 			if r.byte()%2 == 0 {
 				continue
 			}
 			dead.Set(ci)
+			addRow()
 			sc := x.ScoreDead(dead, &s)
 			check("grown", sc)
 			if sc.ReachablePairs > prev.ReachablePairs {
@@ -153,23 +176,18 @@ func FuzzCableASAdjacency(f *testing.F) {
 		// All-dead mask.
 		if numCables > 0 {
 			dead.SetRange(0, numCables)
+			addRow()
 			check("all-dead", x.ScoreDead(dead, &s))
 		}
 
-		// Batched ≡ scalar on a single-trial block (needs a real plan).
-		if numCables > 0 {
-			plan, err := failure.Compile(net, failure.Uniform{P: 0.5}, 100)
-			if err != nil {
-				return
-			}
-			var batch failure.BatchScratch
-			batch.Grow(plan)
-			copy(batch.Row(0), dead)
-			var out [1]Score
-			x.ScoreBatch(&batch, 1, out[:], &s)
-			want := x.ScoreDead(dead, &s)
-			if !scoresBitIdentical(out[0], want) {
-				t.Fatalf("batch %+v != scalar %+v", out[0], want)
+		// Batched ≡ scalar, row by row.
+		if rows > 0 {
+			var out [failure.MaxBatch]Score
+			x.ScoreBatch(&batch, rows, out[:], &s)
+			for b := 0; b < rows; b++ {
+				if want := x.ScoreDead(batch.Row(b), &s); !scoresBitIdentical(out[b], want) {
+					t.Fatalf("row %d of %d: batch %+v != scalar %+v", b, rows, out[b], want)
+				}
 			}
 		}
 	})

@@ -1,8 +1,6 @@
 package failure
 
 import (
-	"math/bits"
-
 	"gicnet/internal/graph"
 	"gicnet/internal/xrand"
 )
@@ -92,11 +90,16 @@ func (p *Plan) EvaluateBatch(s *BatchScratch, n int, out []Outcome) {
 		totalFailed += f
 	}
 	// Strategy break-even: the scalar walk costs a CSR visit per dead
-	// cable, the column path a fixed transpose per word group plus one
-	// column load per (vulnerable node, incident cable) pair. Both compute
-	// identical counts, so this choice affects speed only — it must merely
-	// be deterministic, and it is: block content alone decides.
-	if totalFailed*12 >= s.words*256+len(p.inc.NodeCables) {
+	// cable, the column path a fixed transpose per word group plus a few
+	// loads per vulnerable node. Timed per 64-trial block on the three
+	// generated networks, the two meet at about 10,600 dead cables on ITU
+	// (184 words), 610 on Intertubes (9) and 280 on the submarine map (8);
+	// 50 dead cables per word misses only in the bands between those
+	// points and 9,200, 450 and 400, at most about 1.5× the faster path
+	// there. Both compute identical counts, so this choice affects
+	// speed only — it must merely be deterministic, and it is: block
+	// content alone decides.
+	if totalFailed >= s.words*50 {
 		p.unreachableColumns(s, n, out)
 	} else {
 		for b := 0; b < n; b++ {
@@ -116,6 +119,12 @@ func (p *Plan) EvaluateBatch(s *BatchScratch, n int, out []Outcome) {
 // node is visited exactly once, so the counts match the scalar walk's
 // visit-once-from-lowest-dead-cable accounting bit for bit.
 //
+// The counts are bit-sliced: each node's death mask is added into counter
+// planes with a ripple carry, plane j holding bit j of every trial's
+// count, so a node costs a few word operations however many trials it
+// dies in. bits.Len(len(vulnNodes)) planes hold any count, and one
+// transpose turns the planes into the n per-trial counts.
+//
 //gicnet:hotpath
 func (p *Plan) unreachableColumns(s *BatchScratch, n int, out []Outcome) {
 	words := s.words
@@ -132,14 +141,19 @@ func (p *Plan) unreachableColumns(s *BatchScratch, n int, out []Outcome) {
 	}
 	inc := p.inc
 	cols := s.cols
+	var planes [64]uint64
 	for _, ni := range p.vulnNodes {
 		lo, hi := inc.NodeCableStart[ni], inc.NodeCableStart[ni+1]
 		m := cols[inc.NodeCables[lo]]
 		for k := lo + 1; k < hi && m != 0; k++ {
 			m &= cols[inc.NodeCables[k]]
 		}
-		for ; m != 0; m &= m - 1 {
-			out[bits.TrailingZeros64(m)].NodesUnreachable++
+		for j := 0; m != 0; j++ {
+			planes[j], m = planes[j]^m, planes[j]&m
 		}
+	}
+	graph.Transpose64(&planes)
+	for b := 0; b < n; b++ {
+		out[b].NodesUnreachable = int(planes[b])
 	}
 }

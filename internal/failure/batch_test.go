@@ -1,8 +1,10 @@
 package failure
 
 import (
+	"math/bits"
 	"testing"
 
+	"gicnet/internal/dataset"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
@@ -190,6 +192,73 @@ func TestBatchScratchReuse(t *testing.T) {
 			if want := plan.Evaluate(dead); out[b] != want {
 				t.Fatalf("cables=%d trial %d: %+v != %+v", cables, b, out[b], want)
 			}
+		}
+	}
+}
+
+// TestColumnCountersMatchScalar forces the column strategy, whose counts
+// are bit-sliced across counter planes, on blocks chosen to stress the
+// counters, and holds every count to the scalar walk: ITU blocks at p=1
+// and p=0.5 (50 km), where thousands of nodes die per trial and the p=1
+// counts reach the top plane bits.Len(len(vulnNodes)) needs; partial blocks,
+// whose absent trials must neither be counted nor written even when their
+// stale rows are all dead; and intertubes blocks.
+func TestColumnCountersMatchScalar(t *testing.T) {
+	w, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		net      *topology.Network
+		model    Model
+		spacing  float64
+		n        int
+		topPlane bool // some trial's count must reach the top plane
+	}{
+		{"itu p=1", w.ITU, Uniform{P: 1}, 50, MaxBatch, true},
+		{"itu p=1 partial", w.ITU, Uniform{P: 1}, 50, 37, true},
+		{"itu p=0.5", w.ITU, Uniform{P: 0.5}, 50, MaxBatch, false},
+		{"submarine S1 partial", w.Submarine, S1(), 150, 5, false},
+		{"intertubes p=0.2", w.Intertubes, Uniform{P: 0.2}, 100, MaxBatch, false},
+		{"intertubes p=0.05 partial", w.Intertubes, Uniform{P: 0.05}, 100, 50, false},
+	}
+	const sentinel = -7
+	for _, c := range cases {
+		plan, err := Compile(c.net, c.model, c.spacing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scratch BatchScratch
+		scratch.Grow(plan)
+		for b := 0; b < MaxBatch; b++ {
+			row := scratch.Row(b)
+			for wi := range row {
+				row[wi] = ^uint64(0) // stale rows past n: every cable dead
+			}
+		}
+		root := *xrand.New(1859)
+		plan.SampleBatch(&scratch, &root, 0, c.n)
+		out := make([]Outcome, MaxBatch)
+		for b := range out {
+			out[b].NodesUnreachable = sentinel
+		}
+		plan.unreachableColumns(&scratch, c.n, out)
+		top := 0
+		for b := 0; b < c.n; b++ {
+			want := plan.unreachableScalar(scratch.Row(b))
+			if out[b].NodesUnreachable != want {
+				t.Fatalf("%s trial %d: columns counted %d unreachable, scalar %d", c.name, b, out[b].NodesUnreachable, want)
+			}
+			top = max(top, want)
+		}
+		for b := c.n; b < MaxBatch; b++ {
+			if out[b].NodesUnreachable != sentinel {
+				t.Fatalf("%s: absent trial %d written (%d)", c.name, b, out[b].NodesUnreachable)
+			}
+		}
+		if planes := bits.Len(uint(len(plan.vulnNodes))); c.topPlane && top < 1<<(planes-1) {
+			t.Fatalf("%s: largest count %d never reaches plane %d of %d", c.name, top, planes-1, planes)
 		}
 	}
 }

@@ -164,18 +164,24 @@ func CableDeathProb(net *topology.Network, m Model, spacingKm float64, ci int) (
 	if err := CheckSpacing(spacingKm); err != nil {
 		return 0, err
 	}
-	r := net.Cables[ci].RepeaterCount(spacingKm)
+	return cableDeathProb(net, m, ci, net.Cables[ci].RepeaterCount(spacingKm)), nil
+}
+
+// cableDeathProb is CableDeathProb for cable ci carrying r repeaters at an
+// already checked spacing. CompileInto calls it with counts it keeps, so
+// the two cannot drift apart.
+func cableDeathProb(net *topology.Network, m Model, ci, r int) float64 {
 	if r == 0 {
-		return 0, nil
+		return 0
 	}
 	p := m.RepeaterProb(net, ci)
 	if p <= 0 {
-		return 0, nil
+		return 0
 	}
 	if p >= 1 {
-		return 1, nil
+		return 1
 	}
-	return 1 - math.Pow(1-p, float64(r)), nil
+	return 1 - math.Pow(1-p, float64(r))
 }
 
 // SampleCableDeaths draws one Monte Carlo realisation of cable deaths.

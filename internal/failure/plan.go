@@ -102,28 +102,34 @@ func Compile(net *topology.Network, m Model, spacingKm float64) (*Plan, error) {
 
 // CompileInto is Compile reusing p's backing arrays, so a worker that
 // compiles many plans (one sweep point after another) allocates only on
-// first use. The previous contents of p are discarded.
+// first use. The previous contents of p are discarded, except what the
+// new plan provably shares with them: a recompile for the same network
+// (pointer) and spacing (bits) keeps the repeater counts, and one that
+// also leaves the at-risk cable set unchanged keeps the vulnerable nodes.
+// A network is immutable once its derived views exist, so both are exact.
 func CompileInto(p *Plan, net *topology.Network, m Model, spacingKm float64) error {
 	if err := CheckSpacing(spacingKm); err != nil {
 		return err
 	}
 	nc := len(net.Cables)
+	sameNet := p.net == net
+	sameGeometry := sameNet && math.Float64bits(p.spacingKm) == math.Float64bits(spacingKm) && len(p.repeaters) == nc
 	p.net = net
 	p.modelName = p.nameOf(m)
 	p.spacingKm = spacingKm
-	p.deathProb = grow(p.deathProb, nc)
-	p.repeaters = grow(p.repeaters, nc)
 	p.connected = net.ConnectedNodeCount()
 	p.inc = net.IncidenceBits()
-	for ci := range net.Cables {
-		prob, err := CableDeathProb(net, m, spacingKm, ci)
-		if err != nil {
-			return err
+	if !sameGeometry {
+		p.repeaters = grow(p.repeaters, nc)
+		for ci := range net.Cables {
+			p.repeaters[ci] = net.Cables[ci].RepeaterCount(spacingKm)
 		}
-		p.deathProb[ci] = prob
-		p.repeaters[ci] = net.Cables[ci].RepeaterCount(spacingKm)
 	}
-	p.buildSampler()
+	p.deathProb = grow(p.deathProb, nc)
+	for ci, r := range p.repeaters {
+		p.deathProb[ci] = cableDeathProb(net, m, ci, r)
+	}
+	p.buildSampler(sameNet)
 	return nil
 }
 
@@ -311,21 +317,36 @@ func (sp *samplerProgram) sampleInto(dead graph.Bitset, rng *xrand.Source) {
 }
 
 // buildSampler turns deathProb into the sampling program plus the plan's
-// template and at-risk bitsets.
-func (p *Plan) buildSampler() {
-	p.baseDead = graph.GrowBitset(p.baseDead, len(p.deathProb))
-	p.atRisk = graph.GrowBitset(p.atRisk, len(p.deathProb))
-	for ci, prob := range p.deathProb {
-		switch {
-		case prob <= 0:
-		case prob >= 1:
-			p.baseDead.Set(ci)
-			p.atRisk.Set(ci)
-		default:
-			p.atRisk.Set(ci)
+// template and at-risk bitsets. sameNet reports that vulnNodes was built
+// for this plan's network; it is then kept when the at-risk set comes out
+// unchanged, since it is a function of the two alone.
+func (p *Plan) buildSampler(sameNet bool) {
+	nc := len(p.deathProb)
+	w := graph.BitsetWords(nc)
+	p.baseDead = graph.GrowBitset(p.baseDead, nc)
+	riskSame := sameNet && len(p.atRisk) == w
+	if cap(p.atRisk) < w {
+		p.atRisk = make(graph.Bitset, w)
+	}
+	p.atRisk = p.atRisk[:w]
+	for wi := range p.atRisk {
+		var risk, base uint64
+		for ci := wi << 6; ci < min(wi<<6+64, nc); ci++ {
+			prob, bit := p.deathProb[ci], uint64(1)<<(uint(ci)&63)
+			if !(prob <= 0) {
+				risk |= bit
+			}
+			if prob >= 1 {
+				base |= bit
+			}
 		}
+		riskSame = riskSame && p.atRisk[wi] == risk
+		p.atRisk[wi], p.baseDead[wi] = risk, base
 	}
 	p.prog.compile(p.deathProb)
+	if riskSame {
+		return
+	}
 
 	// Vulnerable nodes: a node can only become unreachable if every one of
 	// its incident cables can die, which the per-node word masks test

@@ -200,3 +200,84 @@ func BenchmarkPlanTrialLoop(b *testing.B) {
 		_ = plan.Evaluate(dead)
 	}
 }
+
+// TestRecompileMatchesCompile drives one arena plan through the recompiles
+// a uniform sweep makes (ten probabilities on one network and spacing,
+// where repeater counts and, past p=0, the vulnerable nodes carry over)
+// and then across spacings, networks and at-risk sets, where they must
+// not. After every step the arena must equal a fresh Compile field by
+// field — probabilities bit for bit, repeater counts, template and
+// at-risk bitsets, vulnerable nodes, sampling program — and validate.
+func TestRecompileMatchesCompile(t *testing.T) {
+	netA, netB := fuzzNetwork(3, 32, 48), fuzzNetwork(99, 20, 40)
+	mixed := batchModels()[5]
+	type step struct {
+		net     *topology.Network
+		m       Model
+		spacing float64
+	}
+	var steps []step
+	for _, p := range []float64{0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1} {
+		steps = append(steps, step{netA, Uniform{P: p}, 150})
+	}
+	steps = append(steps,
+		step{netA, Uniform{P: 0.1}, 50}, // new spacing: new repeater counts
+		step{netB, Uniform{P: 0.1}, 50}, // new network at the same spacing
+		step{netB, mixed, 50},           // at-risk set shrinks
+		step{netA, mixed, 50},           // back to the first network
+		step{netA, Uniform{P: 0.2}, 50}, // at-risk set grows back
+		step{netA, S1(), 150},           // tiered model, first spacing again
+		step{planNet(), S1(), 150},      // a network of another size
+		step{netA, Uniform{P: 0.05}, 150},
+	)
+	var arena Plan
+	for i, st := range steps {
+		if err := CompileInto(&arena, st.net, st.m, st.spacing); err != nil {
+			t.Fatalf("step %d: CompileInto: %v", i, err)
+		}
+		fresh, err := Compile(st.net, st.m, st.spacing)
+		if err != nil {
+			t.Fatalf("step %d: Compile: %v", i, err)
+		}
+		if err := arena.Validate(); err != nil {
+			t.Fatalf("step %d: recompiled plan invalid: %v", i, err)
+		}
+		if len(arena.deathProb) != len(fresh.deathProb) {
+			t.Fatalf("step %d: %d probabilities, fresh %d", i, len(arena.deathProb), len(fresh.deathProb))
+		}
+		for ci := range fresh.deathProb {
+			if math.Float64bits(arena.deathProb[ci]) != math.Float64bits(fresh.deathProb[ci]) {
+				t.Fatalf("step %d cable %d: probability %v, fresh %v", i, ci, arena.deathProb[ci], fresh.deathProb[ci])
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, want any
+		}{
+			{"repeater counts", arena.repeaters, fresh.repeaters},
+			{"template", arena.baseDead, fresh.baseDead},
+			{"at-risk set", arena.atRisk, fresh.atRisk},
+			{"vulnerable nodes", append([]int32{}, arena.vulnNodes...), append([]int32{}, fresh.vulnNodes...)},
+			{"sampling program", normProgram(arena.prog), normProgram(fresh.prog)},
+			{"connected count", arena.connected, fresh.connected},
+			{"model name", arena.modelName, fresh.modelName},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("step %d (%s, %s, %g km): %s differ from a fresh compile:\n got %v\nwant %v",
+					i, st.net.Name, st.m.Name(), st.spacing, c.name, c.got, c.want)
+			}
+		}
+	}
+}
+
+// normProgram copies a program into non-nil slices, so that DeepEqual
+// compares contents and not whether a slice was resliced or never made.
+func normProgram(sp samplerProgram) samplerProgram {
+	return samplerProgram{
+		dense:       append([]int32{}, sp.dense...),
+		denseThr:    append([]uint64{}, sp.denseThr...),
+		groups:      append([]sampleGroup{}, sp.groups...),
+		groupCables: append([]int32{}, sp.groupCables...),
+		groupThr:    append([]uint64{}, sp.groupThr...),
+	}
+}

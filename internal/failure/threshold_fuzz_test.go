@@ -35,7 +35,7 @@ func compileProbs(net *topology.Network, probs []float64) (*Plan, error) {
 		return nil, err
 	}
 	copy(plan.deathProb, probs)
-	plan.buildSampler()
+	plan.buildSampler(true)
 	return plan, nil
 }
 

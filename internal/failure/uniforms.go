@@ -21,13 +21,17 @@ type Uniforms interface {
 // sampleIntoU is the sampling program in float form over probs, the vector
 // it was compiled from, against an arbitrary uniform stream: a Bernoulli
 // draw is u < p, a skip is floor(log(u)·invLogq), a thinning is
-// u·pmax < p. Quasi-Monte Carlo points are not confined to the 53-bit
-// grid of a pseudo-random draw, so this form is the only one that is
-// exact for them. Run on an xrand stream it is also the reference
-// sampleInto is held to: the integer thresholds and skip tables there
-// decide every 53-bit draw as these float expressions do
-// (FuzzSampleThresholds, TestSkipTablesMatchLog), so a change to the
-// distribution belongs in compile, which feeds both forms.
+// u·pmax < p. It serves any Uniforms stream, which hands out floats, not
+// raw draws. The quasi-Monte Carlo streams of the rare-event layer do lie
+// on the 53-bit grid of a pseudo-random draw (a scrambled Sobol
+// coordinate is a 32-bit integer times 2⁻³², its padding an xrand draw;
+// rare's TestPointStreamOn53BitGrid pins it), so the integer form could
+// serve them exactly too; they run this one because the seam is a float
+// seam. Run on an xrand stream it is also the reference sampleInto is
+// held to: the integer thresholds and skip tables there decide every
+// 53-bit draw as these float expressions do (FuzzSampleThresholds,
+// TestSkipTablesMatchLog), so a change to the distribution belongs in
+// compile, which feeds both forms.
 func (sp *samplerProgram) sampleIntoU(dead graph.Bitset, u Uniforms, probs []float64) {
 	for _, ci := range sp.dense {
 		if u.Float64() < probs[ci] {

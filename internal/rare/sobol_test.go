@@ -1,6 +1,7 @@
 package rare
 
 import (
+	"math"
 	"testing"
 
 	"gicnet/internal/xrand"
@@ -155,4 +156,33 @@ func boxDeviation(pts [][]float64, corner []float64, vol float64) float64 {
 		dev = -dev
 	}
 	return dev
+}
+
+// TestPointStreamOn53BitGrid pins what the quasi-Monte Carlo streams
+// deliver: every uniform a trial's pointStream hands the sampler — its
+// scrambled Sobol coordinates (a 32-bit integer times 2⁻³²) and the
+// pseudo-random padding past them — lies on the 2⁻⁵³ grid of an xrand
+// draw, so each value times 2⁵³ is an integer below 2⁵³. A finer
+// generator behind either part fails it.
+func TestPointStreamOn53BitGrid(t *testing.T) {
+	root := *xrand.New(1859)
+	for _, dims := range []int{1, 7, SobolMaxDims} {
+		sob, err := NewSobol(dims, root.SplitAt(sobolKeySalt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := pointStream{prefix: make([]float64, dims)}
+		for trial := uint64(0); trial < 500; trial++ {
+			sob.Point(uint32(trial), ps.prefix)
+			ps.i = 0
+			ps.tail = root.SplitAt(trial)
+			for k := 0; k < dims+40; k++ {
+				v := ps.Float64()
+				x := v * (1 << 53)
+				if !(x >= 0 && x < 1<<53) || x != math.Trunc(x) {
+					t.Fatalf("dims %d trial %d draw %d: %v is not a multiple of 2^-53 in [0,1)", dims, trial, k, v)
+				}
+			}
+		}
+	}
 }
