@@ -1,17 +1,18 @@
 # Build / verify targets. `make verify` is the PR gate: tier-1 build+test
 # plus a gofmt check, static vetting, the repo-native lint pass
 # (determinism, hot-path allocation discipline, float-comparison hygiene,
-# must-check errors — see internal/lint), a race-detector pass over the
-# concurrent engine (the sim worker pool, parallel sweeps, the failure plan
-# layer, the shared contraction state in partition/experiments, concurrent
-# core analyses and rare's tail bootstrap), the statistical verification
-# suite (golden regression + model invariants + deterministic replay), and
-# a short fuzz smoke over the IO parser and plan compiler.
+# must-check errors — see internal/lint), a pure-Go test pass over the
+# trial engine (the assembly kernels' fallbacks), a race-detector pass over
+# the concurrent engine (the sim worker pool, parallel sweeps, the failure
+# plan layer, the shared contraction state in partition/experiments,
+# concurrent core analyses and rare's tail bootstrap), the statistical
+# verification suite (golden regression + model invariants + deterministic
+# replay), and a short fuzz smoke over the IO parser and plan compiler.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test fmt vet lint race verify validate update-golden fuzz-smoke loadtest-smoke crosscompile bench bench-snapshot bench-check
+.PHONY: all build test test-purego fmt vet lint race verify validate update-golden fuzz-smoke loadtest-smoke crosscompile bench bench-snapshot bench-check
 
 all: verify
 
@@ -20,6 +21,13 @@ build:
 
 test: build
 	$(GO) test ./...
+
+# The trial engine with no assembly in play: on a host that selects the
+# vector kernels, the Go loops they fall back to (and are held to) would
+# otherwise never run under test. `purego` swaps in the pure-Go dispatch
+# files of internal/graph and internal/xrand.
+test-purego:
+	$(GO) test -tags purego ./internal/xrand/... ./internal/failure/... ./internal/sim/... ./internal/rare/...
 
 # Formatting gate: fails, listing the files, when any file is not gofmt-clean.
 fmt:
@@ -47,7 +55,7 @@ lint:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/failure/... ./internal/topology/... ./internal/graph/... ./internal/partition/... ./internal/experiments/... ./internal/serve/... ./internal/crosslayer/... ./internal/core/... ./internal/rare/...
 
-verify: fmt vet lint test race validate loadtest-smoke fuzz-smoke crosscompile
+verify: fmt vet lint test test-purego race validate loadtest-smoke fuzz-smoke crosscompile
 
 # Serving smoke: drive the example-workload mix through a fully tiered
 # server and a no-tier baseline and require identical order-independent
@@ -56,14 +64,20 @@ verify: fmt vet lint test race validate loadtest-smoke fuzz-smoke crosscompile
 loadtest-smoke:
 	$(GO) test -run '^TestSmoke$$' -count 1 ./internal/serve/loadtest
 
-# Cross-compile gate: the bitset kernels ship three build variants (AVX2
-# amd64 assembly, NEON arm64 assembly, pure-Go fallback); all of them must
-# always compile, whatever machine the PR was written on.
+# Cross-compile gate: the assembly kernels ship their build variants —
+# the bitset popcount as AVX2 amd64 assembly, NEON arm64 assembly and a
+# pure-Go fallback; the dense Bernoulli draws (internal/xrand) as AVX-512
+# amd64 assembly and a pure-Go fallback (arm64 and purego); the CPUID and
+# XGETBV probes (internal/cpuid) as amd64 assembly only — and all of them
+# must always compile, whatever machine the PR was written on. Vetting the
+# amd64 packages and the purego variants runs vet's asmdecl check on every
+# assembly frame and keeps the fallbacks' declarations in step.
 crosscompile:
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) build -tags purego ./...
-	$(GO) vet -tags purego ./internal/graph
+	GOARCH=amd64 $(GO) vet ./internal/cpuid ./internal/graph ./internal/xrand
+	$(GO) vet -tags purego ./internal/graph ./internal/xrand ./internal/failure
 
 # Statistical verification: diff every reproduce output against the
 # checked-in golden snapshot, check model invariants, and prove replay
@@ -79,8 +93,9 @@ update-golden:
 
 # Short fuzz runs over the network-JSON parser, the failure-plan compiler,
 # the tilted sampler, the integer sampler (against its float form on
-# rounding-edge probabilities), the core-contraction connectivity engine, the bitset kernel primitives
-# (assembly vs reference semantics), the cross-layer index (its AS
+# rounding-edge probabilities), the dense-draw kernel (against the Go loop,
+# stream state included), the core-contraction connectivity engine, the
+# bitset kernel primitives (assembly vs reference semantics), the cross-layer index (its AS
 # attachment against the all-pairs scan), the repair scheduler (against
 # its rescan reference) and the nearest-point screen (against a
 # brute-force scan); each also replays its checked-in seed corpus.
@@ -89,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompile$$' -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run '^$$' -fuzz '^FuzzTiltedSampler$$' -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleThresholds$$' -fuzztime $(FUZZTIME) ./internal/failure
+	$(GO) test -run '^$$' -fuzz '^FuzzBelowInto$$' -fuzztime $(FUZZTIME) ./internal/xrand
 	$(GO) test -run '^$$' -fuzz '^FuzzSobol$$' -fuzztime $(FUZZTIME) ./internal/rare
 	$(GO) test -run '^$$' -fuzz '^FuzzCoreContraction$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsetKernels$$' -fuzztime $(FUZZTIME) ./internal/graph

@@ -184,13 +184,21 @@ func envExp(prob float64) int {
 // sampler compares raw draws against. The float sampler behind
 // SampleIntoU reads the probability vector the program was compiled from
 // instead; the two forms decide identically on every 53-bit draw.
+//
+// The dense cables are laid out by bitset word, as xrand.BelowInto takes
+// them: one entry per 64-cable word holding dense cables (its index, its
+// dense-cable mask and the dense offset of its lowest one), in ascending
+// cable order, so the mask's bits are the dense cables in draw order.
 type samplerProgram struct {
-	dense       []int32  // cables sampled with one Bernoulli draw each
-	denseThr    []uint64 // xrand.Threshold of each cable's probability
+	denseWords  []xrand.BelowWord // the dense cables, one Bernoulli draw each
+	denseThr    []uint64          // their thresholds, then xrand.BelowPad zeros
 	groups      []sampleGroup
 	groupCables []int32
 	groupThr    []uint64 // xrand.Threshold(pr/pmax); certain when pr == pmax
 }
+
+// denseLen returns the number of dense cables.
+func (sp *samplerProgram) denseLen() int { return len(sp.denseThr) - xrand.BelowPad }
 
 // certain is the thinning threshold of a bucket cable whose probability is
 // the envelope itself: it dies on every candidate hit without a draw.
@@ -202,8 +210,8 @@ const certain = math.MaxUint64
 func (sp *samplerProgram) compile(probs []float64) {
 	// Reserve worst-case capacity up front (every cable dense) so the
 	// scatter pass appends without doubling through realloc steps.
-	sp.dense = grow(sp.dense, len(probs))[:0]
-	sp.denseThr = grow(sp.denseThr, len(probs))[:0]
+	sp.denseWords = grow(sp.denseWords, graph.BitsetWords(len(probs)))[:0]
+	sp.denseThr = grow(sp.denseThr, len(probs)+xrand.BelowPad)[:0]
 	sp.groups = sp.groups[:0]
 
 	// Pass 1: count bucket occupancy.
@@ -242,10 +250,16 @@ func (sp *samplerProgram) compile(probs []float64) {
 			sp.groupThr[o] = xrand.Threshold(math.Ldexp(prob, e))
 			fill[e] = o + 1
 		} else {
-			sp.dense = append(sp.dense, int32(ci))
+			w := uint32(ci >> 6)
+			if n := len(sp.denseWords); n == 0 || sp.denseWords[n-1].Word != w {
+				sp.denseWords = append(sp.denseWords, xrand.BelowWord{Word: w, Off: uint32(len(sp.denseThr))})
+			}
+			sp.denseWords[len(sp.denseWords)-1].Mask |= 1 << (uint(ci) & 63)
 			sp.denseThr = append(sp.denseThr, xrand.Threshold(prob))
 		}
 	}
+	var pad [xrand.BelowPad]uint64
+	sp.denseThr = append(sp.denseThr, pad[:]...)
 	for e := minSparseExp; e <= maxSparseExp; e++ {
 		if offs[e] < 0 {
 			continue
@@ -271,14 +285,12 @@ func (sp *samplerProgram) compile(probs []float64) {
 // the same stream, with integer work only: a Bernoulli draw is a borrow
 // compare against the cable's threshold, and a skip is a lookup in the
 // envelope's skip table (math.Log only for envelopes beyond the tables).
+// The dense draws run through xrand.BelowInto, a vector kernel on hosts
+// that have one, which decides every cable as one Below call would.
 //
 //gicnet:hotpath
 func (sp *samplerProgram) sampleInto(dead graph.Bitset, rng *xrand.Source) {
-	thr := sp.denseThr[:len(sp.dense)]
-	for k, ci := range sp.dense {
-		c := uint32(ci)
-		dead[c>>6] |= rng.Below(thr[k]) << (c & 63)
-	}
+	rng.BelowInto(dead, sp.denseWords, sp.denseThr)
 	for gi := range sp.groups {
 		g := &sp.groups[gi]
 		cables := sp.groupCables[g.start:g.end]
@@ -626,15 +638,8 @@ func (sp *samplerProgram) validate(probs []float64, base graph.Bitset) error {
 			seen[ci]++
 		}
 	}
-	if len(sp.denseThr) != len(sp.dense) {
-		return fmt.Errorf("dense list has %d cables and %d thresholds", len(sp.dense), len(sp.denseThr))
-	}
-	for k, ci := range sp.dense {
-		seen[ci]++
-		if !thresholdDecides(sp.denseThr[k], probs[ci]) {
-			return fmt.Errorf("dense cable %d threshold %#x does not decide probability %v",
-				ci, sp.denseThr[k], probs[ci])
-		}
+	if err := sp.validateDense(probs, seen); err != nil {
+		return err
 	}
 	for gi := range sp.groups {
 		g := &sp.groups[gi]
@@ -671,6 +676,48 @@ func (sp *samplerProgram) validate(probs []float64, base graph.Bitset) error {
 	return nil
 }
 
+// validateDense checks the dense layout as xrand.BelowInto relies on it:
+// words strictly ascending and inside the bitset, no empty mask, each
+// offset counting the cables before it, one threshold per cable followed
+// by exactly xrand.BelowPad zeros, and every threshold deciding its
+// cable's probability. It counts each dense cable into seen.
+func (sp *samplerProgram) validateDense(probs []float64, seen []int) error {
+	n := sp.denseLen()
+	if n < 0 {
+		return fmt.Errorf("dense thresholds (%d) lack the %d-entry padding", len(sp.denseThr), xrand.BelowPad)
+	}
+	for _, t := range sp.denseThr[n:] {
+		if t != 0 {
+			return fmt.Errorf("dense threshold padding holds %#x, want 0", t)
+		}
+	}
+	k := 0
+	for i, w := range sp.denseWords {
+		if w.Mask == 0 || int(w.Off) != k || int(w.Word) >= graph.BitsetWords(len(probs)) ||
+			i > 0 && w.Word <= sp.denseWords[i-1].Word {
+			return fmt.Errorf("dense word %d (index %d, offset %d, mask %#x) breaks the layout at cable offset %d",
+				i, w.Word, w.Off, w.Mask, k)
+		}
+		for m := w.Mask; m != 0; m &= m - 1 {
+			ci := int(w.Word)<<6 + bits.TrailingZeros64(m)
+			if ci >= len(probs) || k >= n {
+				return fmt.Errorf("dense word %d names cable %d, draw %d, beyond %d cables and %d thresholds",
+					i, ci, k, len(probs), n)
+			}
+			seen[ci]++
+			if !thresholdDecides(sp.denseThr[k], probs[ci]) {
+				return fmt.Errorf("dense cable %d threshold %#x does not decide probability %v",
+					ci, sp.denseThr[k], probs[ci])
+			}
+			k++
+		}
+	}
+	if k != n {
+		return fmt.Errorf("dense layout holds %d cables and %d thresholds", k, n)
+	}
+	return nil
+}
+
 // thresholdDecides reports whether t decides the event Float64() < p
 // exactly on the 53-bit draw grid: t is a whole number n of draws shifted
 // over the 11 bits Float64 drops, the last draw below it (n-1) passes the
@@ -681,6 +728,14 @@ func thresholdDecides(t uint64, p float64) bool {
 		return false
 	}
 	return float64(n-1)/(1<<53) < p && !(float64(n)/(1<<53) < p)
+}
+
+// DenseDraws returns the plan's dense cables — the ones sampled with one
+// Bernoulli draw each — as the layout and padded thresholds
+// xrand.BelowInto takes. Both slices are shared plan state: read-only.
+// The kernel benchmarks time the dense loop on real plans through it.
+func (p *Plan) DenseDraws() ([]xrand.BelowWord, []uint64) {
+	return p.prog.denseWords, p.prog.denseThr
 }
 
 // ExpectedCableFrac is the analytic mean of the compiled probabilities —

@@ -274,7 +274,7 @@ func TestRecompileMatchesCompile(t *testing.T) {
 // compares contents and not whether a slice was resliced or never made.
 func normProgram(sp samplerProgram) samplerProgram {
 	return samplerProgram{
-		dense:       append([]int32{}, sp.dense...),
+		denseWords:  append([]xrand.BelowWord{}, sp.denseWords...),
 		denseThr:    append([]uint64{}, sp.denseThr...),
 		groups:      append([]sampleGroup{}, sp.groups...),
 		groupCables: append([]int32{}, sp.groupCables...),

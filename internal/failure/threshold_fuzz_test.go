@@ -3,6 +3,7 @@ package failure
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"gicnet/internal/topology"
@@ -156,15 +157,16 @@ func twinStreams(sp *samplerProgram, probs []float64, seed uint64) []xrand.Sourc
 		out = append(out, rng.SplitAt(trial))
 	}
 	low := func() uint64 { return rng.Uint64() & (1<<11 - 1) }
-	for n := 0; n < 8 && len(sp.dense) > 0; n++ {
-		k := rng.Intn(len(sp.dense))
-		pass, fail := boundaryDraws(probs[sp.dense[k]])
+	dense := denseCables(sp)
+	for n := 0; n < 8 && len(dense) > 0; n++ {
+		k := rng.Intn(len(dense))
+		pass, fail := boundaryDraws(probs[dense[k]])
 		out = append(out, streamWithDraw(pass<<11|low(), k), streamWithDraw(fail<<11|low(), k))
 	}
 	if len(sp.groups) == 0 {
 		return out
 	}
-	g, d := &sp.groups[0], len(sp.dense)
+	g, d := &sp.groups[0], len(dense)
 	if tab := g.skips; tab != nil {
 		for j := 1; j <= min(tab.n, g.end-g.start); j++ {
 			b := tab.bps[tab.n-j]
@@ -190,6 +192,17 @@ func twinStreams(sp *samplerProgram, probs []float64, seed uint64) []xrand.Sourc
 				out = append(out, s)
 				break
 			}
+		}
+	}
+	return out
+}
+
+// denseCables lists the program's dense cables in draw order.
+func denseCables(sp *samplerProgram) []int {
+	var out []int
+	for _, w := range sp.denseWords {
+		for m := w.Mask; m != 0; m &= m - 1 {
+			out = append(out, int(w.Word)<<6+bits.TrailingZeros64(m))
 		}
 	}
 	return out

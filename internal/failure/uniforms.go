@@ -2,6 +2,7 @@ package failure
 
 import (
 	"math"
+	"math/bits"
 
 	"gicnet/internal/graph"
 	"gicnet/internal/xrand"
@@ -33,9 +34,12 @@ type Uniforms interface {
 // TestSkipTablesMatchLog), so a change to the distribution belongs in
 // compile, which feeds both forms.
 func (sp *samplerProgram) sampleIntoU(dead graph.Bitset, u Uniforms, probs []float64) {
-	for _, ci := range sp.dense {
-		if u.Float64() < probs[ci] {
-			dead.Set(int(ci))
+	for _, w := range sp.denseWords {
+		for m := w.Mask; m != 0; m &= m - 1 {
+			ci := int(w.Word)<<6 + bits.TrailingZeros64(m)
+			if u.Float64() < probs[ci] {
+				dead.Set(ci)
+			}
 		}
 	}
 	for gi := range sp.groups {
@@ -88,7 +92,7 @@ func (p *Plan) Draws() int { return p.prog.expectedDraws(p.deathProb) }
 func (t *TiltedSampler) Draws() int { return t.prog.expectedDraws(t.qProb) }
 
 func (sp *samplerProgram) expectedDraws(probs []float64) int {
-	draws := float64(len(sp.dense) + len(sp.groups))
+	draws := float64(sp.denseLen() + len(sp.groups))
 	for gi := range sp.groups {
 		g := &sp.groups[gi]
 		for _, ci := range sp.groupCables[g.start:g.end] {

@@ -2,6 +2,8 @@
 
 package graph
 
+import "gicnet/internal/cpuid"
+
 // amd64 kernel dispatch. AVX2 (the positional-nibble VPSHUFB popcount in
 // kernels_amd64.s, 4 words per vector step) is selected once at init by
 // CPUID/XGETBV feature detection — the instruction set must be present AND
@@ -37,21 +39,21 @@ func cpuFeatures() string {
 // switches. Every check must pass or the vector routines would fault (or
 // silently lose state) at runtime.
 func detectAVX2() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
+	maxID, _, _, _ := cpuid.Query(0, 0)
 	if maxID < 7 {
 		return false
 	}
-	_, _, ecx1, _ := cpuidex(1, 0)
+	_, _, ecx1, _ := cpuid.Query(1, 0)
 	const osxsaveAndAVX = 1<<27 | 1<<28
 	if ecx1&osxsaveAndAVX != osxsaveAndAVX {
 		return false
 	}
-	xcr0, _ := xgetbv0()
+	xcr0, _ := cpuid.XCR0()
 	const xmmAndYMMState = 1<<1 | 1<<2
 	if xcr0&xmmAndYMMState != xmmAndYMMState {
 		return false
 	}
-	_, ebx7, _, _ := cpuidex(7, 0)
+	_, ebx7, _, _ := cpuid.Query(7, 0)
 	return ebx7&(1<<5) != 0
 }
 
@@ -61,7 +63,3 @@ func detectAVX2() bool {
 
 //go:noescape
 func popcountWordsAVX2(w []uint64) int
-
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() (eax, edx uint32)

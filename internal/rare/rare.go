@@ -47,8 +47,9 @@ type Estimator struct {
 	// (P(deaths >= T)) rather than the leading rare-event order.
 	Target float64
 
-	mu    sync.Mutex
-	cache map[*failure.Plan]*compiled
+	mu      sync.Mutex
+	cache   map[*failure.Plan]*compiled
+	streams []*pointStream // idle QMC point streams, reused block after block
 }
 
 // NewIS returns an importance-sampling estimator. lambda <= 0 selects the
@@ -168,14 +169,39 @@ func (e *Estimator) SampleBlock(plan *failure.Plan, s *failure.BatchScratch, roo
 	if err != nil {
 		panic(fmt.Sprintf("rare: sobol construction: %v", err))
 	}
-	ps := pointStream{prefix: make([]float64, c.dims)}
+	ps := e.acquireStream()
+	defer e.releaseStream(ps)
+	ps.prefix = ps.buf[:c.dims]
 	for b := 0; b < n; b++ {
 		trial := t0 + uint64(b)
 		sob.Point(uint32(trial), ps.prefix)
 		ps.i = 0
 		ps.tail = root.SplitAt(trial)
-		logw[b] = c.tilt.SampleIntoU(s.Row(b), &ps)
+		logw[b] = c.tilt.SampleIntoU(s.Row(b), ps)
 	}
+}
+
+// acquireStream returns an idle point stream, or a new one when every
+// stream is in use by a concurrent block. The sampler reaches a stream
+// through the failure.Uniforms interface, which moves it to the heap, so
+// blocks reuse streams instead of allocating one each: the estimator
+// ends up holding one per worker that has sampled through it.
+func (e *Estimator) acquireStream() *pointStream {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.streams); n > 0 {
+		ps := e.streams[n-1]
+		e.streams = e.streams[:n-1]
+		return ps
+	}
+	return new(pointStream)
+}
+
+// releaseStream returns a stream acquireStream handed out.
+func (e *Estimator) releaseStream(ps *pointStream) {
+	e.mu.Lock()
+	e.streams = append(e.streams, ps)
+	e.mu.Unlock()
 }
 
 // pointStream serves one trial's uniforms: the low-discrepancy Sobol
@@ -183,6 +209,7 @@ func (e *Estimator) SampleBlock(plan *failure.Plan, s *failure.BatchScratch, roo
 // many more draws the sampling program wants. It implements
 // failure.Uniforms.
 type pointStream struct {
+	buf    [SobolMaxDims]float64 // backs prefix
 	prefix []float64
 	i      int
 	tail   xrand.Source

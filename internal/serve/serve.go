@@ -24,7 +24,6 @@ import (
 	"gicnet/internal/crosslayer"
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
-	"gicnet/internal/rare"
 	"gicnet/internal/routing"
 	"gicnet/internal/sim"
 	"gicnet/internal/topology"
@@ -191,7 +190,6 @@ type Server struct {
 	worlds     map[uint64]*worldEntry
 	worldSeeds []uint64 // insertion order, for deterministic reporting
 	shards     []*shard
-	ests       map[string]sim.Estimator // shared per-name instances
 	rootCtx    context.Context
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
@@ -227,11 +225,6 @@ func New(cfg Config) (*Server, error) {
 	srv := &Server{
 		cfg:    cfg,
 		worlds: make(map[uint64]*worldEntry),
-		ests: map[string]sim.Estimator{
-			"is":     rare.NewIS(0),
-			"is-qmc": rare.NewISQMC(0),
-			"qmc":    rare.NewQMC(),
-		},
 	}
 	for _, w := range cfg.Worlds {
 		if err := srv.pinWorld(w); err != nil {
@@ -380,7 +373,7 @@ func (srv *Server) normalize(req Request) (Request, resultKey, error) {
 		return req, key, fmt.Errorf("serve: trials %d outside [1, %d]", req.Trials, srv.cfg.MaxTrials)
 	}
 	if req.Estimator != "" {
-		if _, ok := srv.ests[req.Estimator]; !ok {
+		if _, ok := estimators[req.Estimator]; !ok {
 			return req, key, fmt.Errorf("serve: unknown estimator %q (want is, is-qmc or qmc)", req.Estimator)
 		}
 	}

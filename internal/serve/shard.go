@@ -41,8 +41,35 @@ type shard struct {
 	stats    ShardStats
 
 	planMu    sync.Mutex
-	plans     *lru[planKey, *failure.Plan]
+	plans     *lru[planKey, *planEntry]
 	planStats TierStats
+}
+
+// planEntry is one plan-tier entry: a compiled plan and the estimators
+// that have sampled it. An estimator keeps the tilt it compiles for every
+// plan it meets, so each entry owns its own estimator instances: a tilt is
+// reused while its plan stays cached and is collected with the entry once
+// the tier evicts it. Guarded by the shard's planMu.
+type planEntry struct {
+	plan *failure.Plan
+	ests map[string]sim.Estimator
+}
+
+// estimator returns the entry's instance of the named estimator, built on
+// first use, or nil for plain sampling ("").
+func (e *planEntry) estimator(name string) sim.Estimator {
+	if name == "" {
+		return nil
+	}
+	est, ok := e.ests[name]
+	if !ok {
+		if e.ests == nil {
+			e.ests = make(map[string]sim.Estimator, 1)
+		}
+		est = freshEstimator(name)
+		e.ests[name] = est
+	}
+	return est
 }
 
 func newShard(srv *Server, id int) *shard {
@@ -52,7 +79,7 @@ func newShard(srv *Server, id int) *shard {
 		results:  newLRU[resultKey, *Response](srv.cfg.ResultCacheCap),
 		inflight: make(map[resultKey]*call),
 		pending:  make(map[batchKey][]*call),
-		plans:    newLRU[planKey, *failure.Plan](srv.cfg.PlanCacheCap),
+		plans:    newLRU[planKey, *planEntry](srv.cfg.PlanCacheCap),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -112,7 +139,7 @@ func (s *shard) compute(req Request, key resultKey, arena *sim.Arena) (*Response
 	srv := s.srv
 	we := srv.worlds[key.worldSeed]
 	ne := we.nets[key.network]
-	plan, err := s.planFor(key, ne)
+	plan, est, err := s.planFor(key, ne)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +149,7 @@ func (s *shard) compute(req Request, key resultKey, arena *sim.Arena) (*Response
 		Trials:    key.trials,
 		Seed:      key.seed,
 		Workers:   srv.cfg.SimWorkers,
-		Estimator: srv.ests[key.estimator], // nil on the plain path
+		Estimator: est, // nil on the plain path
 	}
 	if key.crossLayer {
 		if cfg.CrossLayer, err = ne.crossIndex(we.world.Routers); err != nil {
@@ -166,29 +193,34 @@ func (s *shard) computeBaseline(ctx context.Context, req Request, key resultKey)
 }
 
 // planFor looks the scenario's compiled plan up in the shard's plan
-// tier, compiling (and warming the network's contraction tier) on miss.
-// The compile happens under planMu: only executors contend here, and
-// holding the lock keeps a popular new scenario from compiling twice.
-func (s *shard) planFor(key resultKey, ne *netEntry) (*failure.Plan, error) {
+// tier, compiling (and warming the network's contraction tier) on miss,
+// and returns it with the entry's instance of the request's estimator
+// (nil on the plain path). The compile happens under planMu: only
+// executors contend here, and holding the lock keeps a popular new
+// scenario from compiling twice.
+func (s *shard) planFor(key resultKey, ne *netEntry) (*failure.Plan, sim.Estimator, error) {
 	pk := key.planKey()
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
-	if p, ok := s.plans.get(pk); ok {
+	e, ok := s.plans.get(pk)
+	if ok {
 		s.planStats.Hits++
-		return p, nil
+	} else {
+		s.planStats.Misses++
+		plan, err := failure.Compile(ne.net, modelFor(key), key.spacingKm)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Warm the contraction tier: the core contraction of this plan's
+		// at-risk set backs every connectivity-style query against the
+		// same scenario family, and the network-level LRU
+		// (internal/topology) shares it across all plans with that
+		// at-risk set.
+		plan.Contraction()
+		e = &planEntry{plan: plan}
+		s.plans.put(pk, e)
 	}
-	s.planStats.Misses++
-	plan, err := failure.Compile(ne.net, modelFor(key), key.spacingKm)
-	if err != nil {
-		return nil, err
-	}
-	// Warm the contraction tier: the core contraction of this plan's
-	// at-risk set backs every connectivity-style query against the same
-	// scenario family, and the network-level LRU (internal/topology)
-	// shares it across all plans with that at-risk set.
-	plan.Contraction()
-	s.plans.put(pk, plan)
-	return plan, nil
+	return e.plan, e.estimator(key.estimator), nil
 }
 
 // finish publishes a computation's outcome: caches a private copy (the
@@ -244,17 +276,20 @@ func modelFor(key resultKey) failure.Model {
 	}
 }
 
-// freshEstimator builds an unshared estimator instance for the baseline
-// path, so pricing runs get no benefit from another request's compiled
-// tilt state.
+// estimators names the servable estimators, each with its constructor.
+var estimators = map[string]func() sim.Estimator{
+	"is":     func() sim.Estimator { return rare.NewIS(0) },
+	"is-qmc": func() sim.Estimator { return rare.NewISQMC(0) },
+	"qmc":    func() sim.Estimator { return rare.NewQMC() },
+}
+
+// freshEstimator builds a new instance of the named estimator, or nil for
+// plain sampling: one per plan-tier entry, and one per request on the
+// baseline path, so pricing runs get no benefit from another request's
+// compiled tilt state.
 func freshEstimator(name string) sim.Estimator {
-	switch name {
-	case "is":
-		return rare.NewIS(0)
-	case "is-qmc":
-		return rare.NewISQMC(0)
-	case "qmc":
-		return rare.NewQMC()
+	if mk := estimators[name]; mk != nil {
+		return mk()
 	}
 	return nil
 }

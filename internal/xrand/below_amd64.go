@@ -1,0 +1,61 @@
+//go:build amd64 && !purego
+
+package xrand
+
+import "gicnet/internal/cpuid"
+
+// useAVX512 selects the vector kernel (below_amd64.s). It is set once at
+// init from the CPU's features; tests clear it to run the Go loop.
+var useAVX512 = detectAVX512()
+
+// belowInto runs the vector kernel when the host has it, and advances the
+// stream past the layout's n bits itself: the kernel only reads the state.
+//
+//gicnet:hotpath
+func belowInto(s *Source, dst []uint64, words []BelowWord, thr []uint64, n uint64) {
+	if useAVX512 {
+		belowIntoAVX512(dst, words, thr, s.state, n)
+		s.state += n * golden
+		return
+	}
+	s.belowIntoGo(dst, words, thr)
+}
+
+// cpuFeatures names the dense-draw kernel this binary runs, for test logs.
+func cpuFeatures() string {
+	if useAVX512 {
+		return "avx512"
+	}
+	return "generic"
+}
+
+// detectAVX512 is the kernel's gate. CPUID leaf 7 must advertise
+// AVX-512F (the 512-bit forms), DQ (VPMULLQ, KMOVB) and BMI2 (PDEP);
+// leaf 1 must advertise OSXSAVE; and XCR0 must show the OS saving the SSE,
+// AVX, opmask and both upper-ZMM states, without which the kernel would
+// fault or lose registers across a context switch.
+func detectAVX512() bool {
+	maxID, _, _, _ := cpuid.Query(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid.Query(1, 0)
+	const osxsave = 1 << 27
+	if ecx1&osxsave == 0 {
+		return false
+	}
+	xcr0, _ := cpuid.XCR0()
+	const avx512State = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	if xcr0&avx512State != avx512State {
+		return false
+	}
+	_, ebx7, _, _ := cpuid.Query(7, 0)
+	const bmi2AndAVX512 = 1<<8 | 1<<16 | 1<<17
+	return ebx7&bmi2AndAVX512 == bmi2AndAVX512
+}
+
+// belowIntoAVX512 is BelowInto's loop over the layout's n draws, drawing
+// from state without advancing it (below_amd64.s).
+//
+//go:noescape
+func belowIntoAVX512(dst []uint64, words []BelowWord, thr []uint64, state, n uint64)

@@ -30,6 +30,12 @@ func New(seed uint64) *Source {
 }
 
 // golden is the SplitMix64 increment (2^64 / phi, odd).
+//
+// SplitMix64 is counter-based: each draw adds golden to the state and
+// returns a fixed mix of the new state, so draw k after state s is
+// mix(s + (k+1)·golden) and n draws leave the state at s + n·golden,
+// whatever the draws were. BelowInto's vector kernel computes many draws
+// at once on that property (TestCounterProperty pins it).
 const golden = 0x9e3779b97f4a7c15
 
 // Uint64 returns the next 64 pseudo-random bits.
