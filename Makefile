@@ -97,8 +97,10 @@ update-golden:
 # stream state included), the core-contraction connectivity engine, the
 # bitset kernel primitives (assembly vs reference semantics), the cross-layer index (its AS
 # attachment against the all-pairs scan), the repair scheduler (against
-# its rescan reference) and the nearest-point screen (against a
-# brute-force scan); each also replays its checked-in seed corpus.
+# its rescan reference), the nearest-point screen (against a
+# brute-force scan) and the downstream entry points (malformed networks
+# and dead sets refused, never a panic); each also replays its checked-in
+# seed corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNetworkJSON$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompile$$' -fuzztime $(FUZZTIME) ./internal/failure
@@ -112,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnnotationComments$$' -fuzztime $(FUZZTIME) ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRecovery$$' -fuzztime $(FUZZTIME) ./internal/recovery
 	$(GO) test -run '^$$' -fuzz '^FuzzNearest$$' -fuzztime $(FUZZTIME) ./internal/geo
+	$(GO) test -run '^$$' -fuzz '^FuzzDownstreamInput$$' -fuzztime $(FUZZTIME) ./internal/verify
 
 # Quick hot-path benchmarks with allocation counts: the trial engine (and
 # its sampling program alone), the storm path (integrated timeline, repair scheduling, bridge picks,

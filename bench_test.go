@@ -252,11 +252,13 @@ func BenchmarkTrafficRouting(b *testing.B) {
 
 func BenchmarkRecoveryPlanning(b *testing.B) {
 	w := benchWorld(b)
-	rng := xrand.New(7)
-	dead, err := failure.SampleCableDeaths(w.Submarine, failure.S2(), 150, rng)
+	plan, err := failure.Compile(w.Submarine, failure.S2(), 150)
 	if err != nil {
 		b.Fatal(err)
 	}
+	rng := xrand.New(7)
+	dead := plan.NewDead()
+	plan.SampleDense(dead, rng)
 	faults, err := recovery.FaultsFrom(w.Submarine, dead, 150, 0.1, rng)
 	if err != nil {
 		b.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"gicnet"
 )
@@ -101,4 +102,61 @@ func ExampleAssessConstellation() {
 	}
 	fmt.Printf("drag multiplier: %.0fx\n", exp.DragMultiplier)
 	// Output: drag multiplier: 10x
+}
+
+// ExampleSampleStorm draws one severe-storm realisation and turns its dead
+// cables into the repair backlog a cable-ship fleet faces (§3.2.2).
+func ExampleSampleStorm() {
+	world, err := gicnet.DefaultWorld()
+	if err != nil {
+		log.Fatal(err)
+	}
+	net := world.Submarine
+	dead, err := gicnet.SampleStorm(net, gicnet.S1(), 150, gicnet.DefaultSeed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	faults, err := gicnet.SampleFaults(net, dead, 150, 0.1, gicnet.DefaultSeed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	repeaters := 0
+	for _, f := range faults {
+		repeaters += f.DamagedRepeaters
+	}
+	fmt.Printf("%d of %d cables dead\n", dead.Count(), len(net.Cables))
+	fmt.Printf("%d repair campaigns, %d damaged repeaters\n", len(faults), repeaters)
+	// Output:
+	// 137 of 470 cables dead
+	// 137 repair campaigns, 702 damaged repeaters
+}
+
+// ExampleRouteTraffic cuts every cable landing in the New York area and
+// routes the inter-region demand over what survives (§5.5).
+func ExampleRouteTraffic() {
+	world, err := gicnet.DefaultWorld()
+	if err != nil {
+		log.Fatal(err)
+	}
+	net := world.Submarine
+	var ny []int
+	for i, nd := range net.Nodes {
+		if strings.Contains(nd.Name, "new-york") || strings.Contains(nd.Name, "long-island") ||
+			strings.Contains(nd.Name, "wall-nj") {
+			ny = append(ny, i)
+		}
+	}
+	dead := gicnet.NewCableSet(net)
+	for _, ci := range net.CablesTouching(ny) {
+		dead.Set(ci)
+	}
+	rep, err := gicnet.RouteTraffic(net, gicnet.DefaultTrafficDemands(), dead)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d cables killed\n", dead.Count())
+	fmt.Printf("%.1f%% of demand stranded\n", 100*rep.StrandedFrac())
+	// Output:
+	// 29 cables killed
+	// 0.0% of demand stranded
 }

@@ -24,13 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	deadCount := 0
-	for _, d := range dead {
-		if d {
-			deadCount++
-		}
-	}
-	fmt.Printf("storm outcome: %d of %d cables dead\n", deadCount, len(dead))
+	fmt.Printf("storm outcome: %d of %d cables dead\n", dead.Count(), len(world.Submarine.Cables))
 
 	faults, err := gicnet.SampleFaults(world.Submarine, dead, 150, 0.1, gicnet.DefaultSeed)
 	if err != nil {

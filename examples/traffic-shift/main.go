@@ -36,13 +36,11 @@ func main() {
 			nyNodes = append(nyNodes, i)
 		}
 	}
-	dead := make([]bool, len(net.Cables))
-	killed := 0
+	dead := gicnet.NewCableSet(net)
 	for _, ci := range net.CablesTouching(nyNodes) {
-		dead[ci] = true
-		killed++
+		dead.Set(ci)
 	}
-	fmt.Printf("failure scenario: %d cables landing in the New York area die\n\n", killed)
+	fmt.Printf("failure scenario: %d cables landing in the New York area die\n\n", dead.Count())
 
 	after, err := gicnet.RouteTraffic(net, demands, dead)
 	if err != nil {

@@ -36,6 +36,7 @@ import (
 	"gicnet/internal/experiments"
 	"gicnet/internal/failure"
 	"gicnet/internal/gic"
+	"gicnet/internal/graph"
 	"gicnet/internal/infra"
 	"gicnet/internal/partition"
 	"gicnet/internal/recovery"
@@ -72,6 +73,10 @@ type (
 	LatitudeTiered = failure.LatitudeTiered
 	// Outcome is one realisation's failure summary.
 	Outcome = failure.Outcome
+	// CableSet is a packed set of cables indexed like Network.Cables: the
+	// dead set SampleStorm draws and RouteTraffic and SampleFaults take.
+	// Get, Set and Count read and write it.
+	CableSet = graph.Bitset
 
 	// SimConfig configures a Monte Carlo run.
 	SimConfig = sim.Config
@@ -242,9 +247,12 @@ func RecommendBridges(w *World, m FailureModel, spacingKm float64, trials int, s
 // DefaultTrafficDemands returns the synthetic inter-region traffic matrix.
 func DefaultTrafficDemands() []TrafficDemand { return routing.DefaultDemands() }
 
+// NewCableSet returns an empty cable set sized for net.
+func NewCableSet(net *Network) CableSet { return graph.NewBitset(len(net.Cables)) }
+
 // RouteTraffic routes demands over the network; cableDead may be nil for
 // the intact network (§5.5 load-shift analysis).
-func RouteTraffic(net *Network, demands []TrafficDemand, cableDead []bool) (*TrafficReport, error) {
+func RouteTraffic(net *Network, demands []TrafficDemand, cableDead CableSet) (*TrafficReport, error) {
 	return routing.Route(net, demands, cableDead)
 }
 
@@ -253,14 +261,21 @@ func CompareTrafficLoads(net *Network, before, after *TrafficReport) ([]LoadShif
 	return routing.CompareLoads(net, before, after)
 }
 
-// SampleStorm draws one cable-death realisation: a vector with true for
-// every cable killed by the model at the given spacing.
-func SampleStorm(net *Network, m FailureModel, spacingKm float64, seed uint64) ([]bool, error) {
-	return failure.SampleCableDeaths(net, m, spacingKm, xrand.New(seed))
+// SampleStorm draws one cable-death realisation: the set of cables killed
+// by the model at the given spacing, one draw per cable in cable order.
+func SampleStorm(net *Network, m FailureModel, spacingKm float64, seed uint64) (CableSet, error) {
+	plan, err := failure.Compile(net, m, spacingKm)
+	if err != nil {
+		return nil, err
+	}
+	dead := plan.NewDead()
+	plan.SampleDense(dead, xrand.New(seed))
+	return dead, nil
 }
 
-// SampleFaults converts a cable-death realisation into repair faults.
-func SampleFaults(net *Network, cableDead []bool, spacingKm, severity float64, seed uint64) ([]RepairFault, error) {
+// SampleFaults converts a cable-death realisation into repair faults, one
+// per dead cable in ascending cable order.
+func SampleFaults(net *Network, cableDead CableSet, spacingKm, severity float64, seed uint64) ([]RepairFault, error) {
 	return recovery.FaultsFrom(net, cableDead, spacingKm, severity, xrand.New(seed))
 }
 

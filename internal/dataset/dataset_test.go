@@ -132,7 +132,7 @@ func TestSubmarineCalibration(t *testing.T) {
 
 func TestSubmarineConnected(t *testing.T) {
 	net := world(t).Submarine
-	if got := net.Graph().ComponentCount(nil); got != 1 {
+	if _, got := net.Graph().Components(nil); got != 1 {
 		t.Errorf("%d components over %d nodes, want one", got, len(net.Nodes))
 	}
 }
@@ -263,7 +263,7 @@ func TestIntertubesCalibration(t *testing.T) {
 
 func TestIntertubesConnected(t *testing.T) {
 	net := world(t).Intertubes
-	if got := net.Graph().ComponentCount(nil); got != 1 {
+	if _, got := net.Graph().Components(nil); got != 1 {
 		t.Errorf("%d components over %d nodes, want one", got, len(net.Nodes))
 	}
 }
@@ -308,7 +308,7 @@ func TestITUCalibration(t *testing.T) {
 
 func TestITUConnected(t *testing.T) {
 	net := world(t).ITU
-	if got := net.Graph().ComponentCount(nil); got != 1 {
+	if _, got := net.Graph().Components(nil); got != 1 {
 		t.Errorf("%d components over %d nodes, want one", got, len(net.Nodes))
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
+	"gicnet/internal/graph"
 	"gicnet/internal/grid"
 	"gicnet/internal/partition"
 	"gicnet/internal/recovery"
@@ -39,11 +40,9 @@ func ExtTraffic(w *dataset.World) (*ExtTrafficResult, error) {
 			nyNodes = append(nyNodes, i)
 		}
 	}
-	dead := make([]bool, len(net.Cables))
-	killed := 0
+	dead := graph.NewBitset(len(net.Cables))
 	for _, ci := range net.CablesTouching(nyNodes) {
-		dead[ci] = true
-		killed++
+		dead.Set(ci)
 	}
 	demands := routing.DefaultDemands()
 	before, err := routing.Route(net, demands, nil)
@@ -64,7 +63,7 @@ func ExtTraffic(w *dataset.World) (*ExtTrafficResult, error) {
 		top = top[:8]
 	}
 	return &ExtTrafficResult{
-		CablesKilled:  killed,
+		CablesKilled:  dead.Count(),
 		StrandedFrac:  after.StrandedFrac(),
 		TopShifts:     top,
 		OverloadCount: len(over),
@@ -96,11 +95,13 @@ type ExtRecoveryResult struct {
 // ExtRecovery runs the S1 repair-campaign experiment.
 func ExtRecovery(w *dataset.World, cfg Config) (*ExtRecoveryResult, error) {
 	net := w.Submarine
-	rng := xrand.New(cfg.Seed)
-	dead, err := failure.SampleCableDeaths(net, failure.S1(), 150, rng)
+	plan, err := failure.Compile(net, failure.S1(), 150)
 	if err != nil {
 		return nil, err
 	}
+	rng := xrand.New(cfg.Seed)
+	dead := plan.NewDead()
+	plan.SampleDense(dead, rng)
 	faults, err := recovery.FaultsFrom(net, dead, 150, 0.1, rng)
 	if err != nil {
 		return nil, err

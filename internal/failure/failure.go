@@ -21,7 +21,6 @@ import (
 	"gicnet/internal/geo"
 	"gicnet/internal/gic"
 	"gicnet/internal/topology"
-	"gicnet/internal/xrand"
 )
 
 // Model assigns a per-repeater failure probability to each cable of a
@@ -184,25 +183,6 @@ func cableDeathProb(net *topology.Network, m Model, ci, r int) float64 {
 	return 1 - math.Pow(1-p, float64(r))
 }
 
-// SampleCableDeaths draws one Monte Carlo realisation of cable deaths.
-// Each cable dies independently with its CableDeathProb; sampling the
-// aggregated Bernoulli is distribution-identical to sampling each repeater,
-// and orders of magnitude faster on 22-repeater submarine cables.
-func SampleCableDeaths(net *topology.Network, m Model, spacingKm float64, rng *xrand.Source) ([]bool, error) {
-	if err := CheckSpacing(spacingKm); err != nil {
-		return nil, err
-	}
-	dead := make([]bool, len(net.Cables))
-	for ci := range net.Cables {
-		p, err := CableDeathProb(net, m, spacingKm, ci)
-		if err != nil {
-			return nil, err
-		}
-		dead[ci] = rng.Bool(p)
-	}
-	return dead, nil
-}
-
 // Outcome summarises one realisation of failures on a network.
 type Outcome struct {
 	// CablesFailed is the number of dead cables.
@@ -214,25 +194,6 @@ type Outcome struct {
 	// NodeFrac is NodesUnreachable over the count of nodes that have at
 	// least one cable.
 	NodeFrac float64
-}
-
-// Evaluate computes the Outcome for a cable-death vector.
-func Evaluate(net *topology.Network, cableDead []bool) Outcome {
-	failed := 0
-	for _, d := range cableDead {
-		if d {
-			failed++
-		}
-	}
-	unreachable := len(net.UnreachableNodes(cableDead))
-	out := Outcome{CablesFailed: failed, NodesUnreachable: unreachable}
-	if len(net.Cables) > 0 {
-		out.CableFrac = float64(failed) / float64(len(net.Cables))
-	}
-	if n := net.ConnectedNodeCount(); n > 0 {
-		out.NodeFrac = float64(unreachable) / float64(n)
-	}
-	return out
 }
 
 // ExpectedCableFrac returns the exact expected fraction of dead cables

@@ -238,14 +238,14 @@ func TestSampleCableDeathsFrequency(t *testing.T) {
 	const trials = 20000
 	deaths := 0
 	for i := 0; i < trials; i++ {
-		dead, err := SampleCableDeaths(n, Uniform{P: 0.05}, 150, rng)
+		dead, err := sampleCableDeaths(n, Uniform{P: 0.05}, 150, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dead[0] {
+		if dead.Get(0) {
 			deaths++
 		}
-		if dead[3] {
+		if dead.Get(3) {
 			t.Fatal("repeater-free cable died")
 		}
 	}
@@ -257,15 +257,32 @@ func TestSampleCableDeathsFrequency(t *testing.T) {
 }
 
 func TestSampleCableDeathsSpacingError(t *testing.T) {
-	if _, err := SampleCableDeaths(net(), Uniform{P: 0.5}, -1, xrand.New(1)); err == nil {
-		t.Error("want spacing error")
+	if _, err := sampleCableDeaths(net(), Uniform{P: 0.5}, -1, xrand.New(1)); err != ErrBadSpacing {
+		t.Errorf("reference sampler: err %v, want ErrBadSpacing", err)
 	}
+	if _, err := Compile(net(), Uniform{P: 0.5}, -1); err != ErrBadSpacing {
+		t.Errorf("Compile: err %v, want ErrBadSpacing", err)
+	}
+}
+
+// evaluate scores cables ids dead on n through a compiled plan.
+func evaluate(t *testing.T, n *topology.Network, ids ...int) Outcome {
+	t.Helper()
+	plan, err := Compile(n, Uniform{}, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := plan.NewDead()
+	for _, ci := range ids {
+		dead.Set(ci)
+	}
+	return plan.Evaluate(dead)
 }
 
 func TestEvaluate(t *testing.T) {
 	n := net()
 	// Kill c1 and c3: miami and nyc lose both their cables.
-	out := Evaluate(n, []bool{false, true, false, true})
+	out := evaluate(t, n, 1, 3)
 	if out.CablesFailed != 2 {
 		t.Errorf("CablesFailed = %d", out.CablesFailed)
 	}
@@ -282,7 +299,7 @@ func TestEvaluate(t *testing.T) {
 
 func TestEvaluateNothingDead(t *testing.T) {
 	n := net()
-	out := Evaluate(n, make([]bool, len(n.Cables)))
+	out := evaluate(t, n)
 	if out.CablesFailed != 0 || out.NodesUnreachable != 0 || out.CableFrac != 0 || out.NodeFrac != 0 {
 		t.Errorf("clean network outcome = %+v", out)
 	}
@@ -290,7 +307,7 @@ func TestEvaluateNothingDead(t *testing.T) {
 
 func TestEvaluateEmptyNetwork(t *testing.T) {
 	n := &topology.Network{Name: "empty"}
-	out := Evaluate(n, nil)
+	out := evaluate(t, n)
 	if out.CableFrac != 0 || out.NodeFrac != 0 {
 		t.Errorf("empty network outcome = %+v", out)
 	}
@@ -319,15 +336,17 @@ func TestMonteCarloMatchesExpectation(t *testing.T) {
 	// The sampled mean cable fraction converges to the analytic mean.
 	n := net()
 	m := S1()
+	plan, err := Compile(n, m, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := plan.NewDead()
 	rng := xrand.New(99)
 	const trials = 5000
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		dead, err := SampleCableDeaths(n, m, 150, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += Evaluate(n, dead).CableFrac
+		plan.SampleDense(dead, rng)
+		sum += plan.Evaluate(dead).CableFrac
 	}
 	want, _ := ExpectedCableFrac(n, m, 150)
 	got := sum / trials

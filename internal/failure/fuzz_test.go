@@ -111,16 +111,16 @@ func FuzzPlanCompile(f *testing.F) {
 		rngDirect := xrand.New(seed ^ 0xf)
 		dead := plan.NewDead()
 		plan.SampleDense(dead, rngPlan)
-		direct, err := SampleCableDeaths(net, model, spacing, rngDirect)
+		direct, err := sampleCableDeaths(net, model, spacing, rngDirect)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ci := range direct {
-			if dead.Get(ci) != direct[ci] {
+		for ci := range net.Cables {
+			if dead.Get(ci) != direct.Get(ci) {
 				t.Fatalf("cable %d: plan sampling disagrees with direct sampling", ci)
 			}
 		}
-		po, fo := plan.Evaluate(dead), Evaluate(net, direct)
+		po, fo := plan.Evaluate(dead), referenceEvaluate(net, direct)
 		if po != fo {
 			t.Fatalf("plan outcome %+v != direct outcome %+v", po, fo)
 		}
@@ -129,9 +129,7 @@ func FuzzPlanCompile(f *testing.F) {
 		}
 		rngSparse := xrand.New(seed ^ 0x5a)
 		plan.SampleInto(dead, rngSparse)
-		bools := make([]bool, plan.NumCables())
-		dead.Expand(bools)
-		if po, fo := plan.Evaluate(dead), Evaluate(net, bools); po != fo {
+		if po, fo := plan.Evaluate(dead), referenceEvaluate(net, dead); po != fo {
 			t.Fatalf("sparse realisation: plan outcome %+v != direct outcome %+v", po, fo)
 		}
 	})

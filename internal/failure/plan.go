@@ -458,8 +458,8 @@ func (p *Plan) Contraction() *graph.CoreContraction {
 // proportional to the expected number of failures instead of the cable
 // count.
 //
-// The draw sequence differs from SampleCableDeaths; use SampleDense for
-// draw-for-draw compatibility with the direct path.
+// The draw sequence differs from SampleDense's one draw per cable; use
+// SampleDense where a seed must yield the per-cable stream's realisation.
 //
 //gicnet:hotpath
 func (p *Plan) SampleInto(dead graph.Bitset, rng *xrand.Source) {
@@ -468,10 +468,12 @@ func (p *Plan) SampleInto(dead graph.Bitset, rng *xrand.Source) {
 }
 
 // SampleDense draws one realisation with one Bernoulli decision per cable
-// in cable order — draw-for-draw compatible with SampleCableDeaths (cables
-// with probability 0 or 1 consume nothing), so a given seed yields the
-// same realisation on either path. It exists for the verification layer's
-// coupling and equivalence proofs; simulation hot paths use SampleInto.
+// in cable order, rng.Bool(DeathProb(ci)) for each (cables with
+// probability 0 or 1 consume nothing). The downstream analyses (grid
+// coupling, resilience, repair campaigns) draw through it, so their
+// streams — and the layer draws that continue them — match the per-cable
+// reference the verification layer keeps. Monte Carlo hot paths use
+// SampleInto.
 //
 //gicnet:hotpath
 func (p *Plan) SampleDense(dead graph.Bitset, rng *xrand.Source) {

@@ -61,8 +61,8 @@ func TestPlanMatchesCableDeathProb(t *testing.T) {
 
 // TestPlanSamplingMatchesPerTrialPath is the plan-vs-reference half of the
 // bit-reproducibility contract: for the same seed, SampleDense must consume
-// the RNG draw for draw like SampleCableDeaths, and Evaluate must score the
-// realisation like the Evaluate package function.
+// the RNG draw for draw like the per-cable reference sampler, and Evaluate
+// must score the realisation like the reference evaluator.
 func TestPlanSamplingMatchesPerTrialPath(t *testing.T) {
 	n := planNet()
 	for _, m := range []Model{Uniform{P: 0.2}, Uniform{P: 0}, Uniform{P: 1}, S1(), S2()} {
@@ -71,21 +71,19 @@ func TestPlanSamplingMatchesPerTrialPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		dead := plan.NewDead()
-		bools := make([]bool, plan.NumCables())
 		for trial := uint64(0); trial < 200; trial++ {
 			root := xrand.New(99)
 			rngRef := root.Split(trial)
-			want, err := SampleCableDeaths(n, m, 150, rngRef)
+			want, err := sampleCableDeaths(n, m, 150, rngRef)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := root.SplitAt(trial)
 			plan.SampleDense(dead, &rng)
-			dead.Expand(bools)
-			if !reflect.DeepEqual(bools, want) {
-				t.Fatalf("%s trial %d: plan sample %v, reference %v", m.Name(), trial, bools, want)
+			if !reflect.DeepEqual(dead, want) {
+				t.Fatalf("%s trial %d: plan sample %v, reference %v", m.Name(), trial, dead, want)
 			}
-			if got, want := plan.Evaluate(dead), Evaluate(n, want); got != want {
+			if got, want := plan.Evaluate(dead), referenceEvaluate(n, want); got != want {
 				t.Fatalf("%s trial %d: plan outcome %+v, reference %+v", m.Name(), trial, got, want)
 			}
 		}
@@ -106,7 +104,6 @@ func TestPlanSparseSamplerDistribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		dead := plan.NewDead()
-		bools := make([]bool, plan.NumCables())
 		counts := make([]int, plan.NumCables())
 		root := xrand.New(1859)
 		for trial := uint64(0); trial < trials; trial++ {
@@ -118,8 +115,7 @@ func TestPlanSparseSamplerDistribution(t *testing.T) {
 				}
 			}
 			if trial < 64 {
-				dead.Expand(bools)
-				if got, want := plan.Evaluate(dead), Evaluate(n, bools); got != want {
+				if got, want := plan.Evaluate(dead), referenceEvaluate(n, dead); got != want {
 					t.Fatalf("%s trial %d: plan outcome %+v, reference %+v", m.Name(), trial, got, want)
 				}
 			}

@@ -1,11 +1,10 @@
 package graph
 
-import "math/bits"
-
 // Bitset is a packed bit vector over dense indices (cable or edge IDs),
-// one uint64 per 64 bits. It is the dead-mask representation of the Monte
-// Carlo kernel: clearing is a memclr, counting is word-level popcount, and
-// "are all of these bits set" reduces to a word AND against a mask.
+// one uint64 per 64 bits. It is the one dead-set representation of the
+// repository, from the Monte Carlo kernel to the downstream analyses:
+// clearing is a memclr, counting is word-level popcount, and "are all of
+// these bits set" reduces to a word AND against a mask.
 //
 // Bits at indices >= the logical size must stay zero; every mutator in
 // this package and in the failure kernel only touches valid indices, so
@@ -80,30 +79,3 @@ func (b Bitset) Clear() {
 //
 //gicnet:hotpath
 func (b Bitset) CopyFrom(src Bitset) { copy(b, src) }
-
-// Expand unpacks the first len(dst) bits into a bool slice, for callers
-// that still speak the unpacked representation. The false-fill is a bulk
-// memclr and only the set bits are visited, via a trailing-zeros walk, so
-// sparse masks (the common Monte Carlo case) cost O(words + popcount)
-// instead of one bounds-checked Get per bit.
-//
-//gicnet:hotpath
-func (b Bitset) Expand(dst []bool) {
-	for i := range dst {
-		dst[i] = false
-	}
-	for wi, w := range b {
-		base := wi << 6
-		if base >= len(dst) {
-			return
-		}
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			if i >= len(dst) {
-				return
-			}
-			dst[i] = true
-			w &= w - 1
-		}
-	}
-}

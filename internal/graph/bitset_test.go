@@ -97,7 +97,7 @@ func TestBitsetSetRange(t *testing.T) {
 	}
 }
 
-func TestBitsetCopyExpandGrow(t *testing.T) {
+func TestBitsetCopyGrow(t *testing.T) {
 	const n = 131
 	src := NewBitset(n)
 	rng := xrand.New(7)
@@ -110,11 +110,9 @@ func TestBitsetCopyExpandGrow(t *testing.T) {
 	}
 	dst := NewBitset(n)
 	dst.CopyFrom(src)
-	got := make([]bool, n)
-	dst.Expand(got)
 	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("bit %d: copy/expand = %v, want %v", i, got[i], ref[i])
+		if dst.Get(i) != ref[i] {
+			t.Fatalf("bit %d: copy = %v, want %v", i, dst.Get(i), ref[i])
 		}
 	}
 
@@ -132,8 +130,9 @@ func TestBitsetCopyExpandGrow(t *testing.T) {
 	}
 }
 
-// TestScratchBitsVariantsAgree cross-checks ComponentsBits/AnyConnectedBits
-// against the AliveMask-based originals on random graphs and masks.
+// TestScratchBitsVariantsAgree cross-checks ComponentsBits and
+// AnyConnectedBits, which walk the dead set word by word, against BFS
+// flood fill through Scratch.Reachable on random graphs and dead sets.
 func TestScratchBitsVariantsAgree(t *testing.T) {
 	rng := xrand.New(0xb175)
 	for gi := 0; gi < 20; gi++ {
@@ -147,27 +146,25 @@ func TestScratchBitsVariantsAgree(t *testing.T) {
 		for e := 0; e < m; e++ {
 			g.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
 		}
-		mask := make(AliveMask, g.NumEdges())
 		dead := NewBitset(g.NumEdges())
-		for e := range mask {
-			mask[e] = r.Bool(0.6)
-			if !mask[e] {
+		for e := 0; e < g.NumEdges(); e++ {
+			if !r.Bool(0.6) {
 				dead.Set(e)
 			}
 		}
+		labels, wantSets := bfsLabels(g, dead)
 		s := g.NewScratch()
-		wantSets := s.Components(mask).Sets()
 		gotSets := s.ComponentsBits(dead).Sets()
 		if wantSets != gotSets {
-			t.Fatalf("graph %d: Components sees %d sets, ComponentsBits %d", gi, wantSets, gotSets)
+			t.Fatalf("graph %d: BFS sees %d components, ComponentsBits %d", gi, wantSets, gotSets)
 		}
 		for trial := 0; trial < 8; trial++ {
 			from := []NodeID{NodeID(r.Intn(n))}
 			to := []NodeID{NodeID(r.Intn(n)), NodeID(r.Intn(n))}
-			want := s.AnyConnected(mask, from, to)
+			want := labels[from[0]] == labels[to[0]] || labels[from[0]] == labels[to[1]]
 			got := s.AnyConnectedBits(dead, from, to)
 			if want != got {
-				t.Fatalf("graph %d: AnyConnected=%v AnyConnectedBits=%v for %v->%v", gi, want, got, from, to)
+				t.Fatalf("graph %d: BFS says %v, AnyConnectedBits %v for %v->%v", gi, want, got, from, to)
 			}
 		}
 		// nil bitset means fully alive

@@ -94,11 +94,8 @@ func checkAgreement(t *testing.T, c randomContractionCase, cc *CoreContraction, 
 			coreSets, directSets, n, g.NumEdges(), cc.NumSupernodes(), cc.NumRiskEdges())
 	}
 
-	// BFS reference: flood-fill components over the alive mask.
-	mask := make(AliveMask, g.NumEdges())
-	for e := range mask {
-		mask[e] = !deadEdges.Get(e)
-	}
+	// BFS reference: flood-fill components through Reachable, which tests
+	// each edge with Get rather than walking the set's words.
 	bfsLabels := make([]int, n)
 	for i := range bfsLabels {
 		bfsLabels[i] = -1
@@ -110,7 +107,7 @@ func checkAgreement(t *testing.T, c randomContractionCase, cc *CoreContraction, 
 			continue
 		}
 		var err error
-		buf, err = scratchDirect.Reachable(buf[:0], NodeID(start), mask)
+		buf, err = scratchDirect.Reachable(buf[:0], NodeID(start), deadEdges)
 		if err != nil {
 			t.Fatalf("Reachable(%d): %v", start, err)
 		}

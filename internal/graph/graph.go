@@ -4,8 +4,8 @@
 //
 // The failure analyses repeatedly ask "with these edges dead, which nodes
 // are unreachable / which components remain?", so the central primitives are
-// component queries over an edge-alive mask rather than mutation of the
-// graph itself.
+// component queries over a packed dead-edge Bitset rather than mutation of
+// the graph itself.
 package graph
 
 import (
@@ -106,88 +106,15 @@ func (g *Graph) validNode(n NodeID) bool {
 	return n >= 0 && int(n) < len(g.nodeLabels)
 }
 
-// AliveMask reports, per edge, whether it is usable. A nil mask means all
-// edges are alive.
-type AliveMask []bool
-
-// Alive reports whether edge e survives under the mask.
-func (m AliveMask) Alive(e EdgeID) bool {
-	return m == nil || m[e]
-}
-
-// Components labels every node with a component index under the given edge
-// mask and returns (labels, count). Nodes with no alive edges form singleton
-// components.
-func (g *Graph) Components(mask AliveMask) ([]int, int) {
+// Components labels every node with a component index with the edges of
+// deadEdges removed and returns (labels, count). Edge e is alive iff bit e
+// of deadEdges is zero; a nil set means every edge is alive, and any other
+// set must span every edge ID (BitsetWords(NumEdges()) words). Nodes with
+// no alive edges form singleton components.
+func (g *Graph) Components(deadEdges Bitset) ([]int, int) {
 	uf := NewUnionFind(len(g.nodeLabels))
-	for _, e := range g.edges {
-		if mask.Alive(e.ID) {
-			uf.Union(int(e.A), int(e.B))
-		}
-	}
+	g.unionAlive(uf, deadEdges)
 	return uf.CompactLabels()
-}
-
-// ComponentCount returns the number of connected components under the mask
-// without materialising the label slice. Verification code uses it for the
-// metamorphic check that killing more edges never decreases the component
-// count.
-func (g *Graph) ComponentCount(mask AliveMask) int {
-	_, count := g.Components(mask)
-	return count
-}
-
-// Isolated reports the nodes whose incident edges are all dead under the
-// mask — the paper's definition of an unreachable node (§4.3.1): "a node is
-// unreachable when all its connected links have failed". Nodes with zero
-// edges in the full graph are not counted: they were never connected.
-func (g *Graph) Isolated(mask AliveMask) []NodeID {
-	var out []NodeID
-	for n := range g.nodeLabels {
-		if len(g.adj[n]) == 0 {
-			continue
-		}
-		alive := false
-		for _, e := range g.adj[n] {
-			if mask.Alive(e) {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			out = append(out, NodeID(n))
-		}
-	}
-	return out
-}
-
-// LargestComponentSize returns the size of the largest connected component
-// under the mask.
-func (g *Graph) LargestComponentSize(mask AliveMask) int {
-	labels, count := g.Components(mask)
-	if count == 0 {
-		return 0
-	}
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for _, s := range sizes {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// SameComponent reports whether a and b are connected under the mask.
-func (g *Graph) SameComponent(a, b NodeID, mask AliveMask) (bool, error) {
-	if !g.validNode(a) || !g.validNode(b) {
-		return false, fmt.Errorf("%w: %d or %d", ErrBadNode, a, b)
-	}
-	labels, _ := g.Components(mask)
-	return labels[a] == labels[b], nil
 }
 
 // ArticulationPoints returns the cut vertices of the graph (considering all

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -85,12 +86,9 @@ func TestComponentsAllAlive(t *testing.T) {
 
 func TestComponentsWithMask(t *testing.T) {
 	g, edges := buildPath(5)
-	mask := make(AliveMask, len(edges))
-	for i := range mask {
-		mask[i] = true
-	}
-	mask[2] = false // cut 2-3
-	labels, count := g.Components(mask)
+	dead := NewBitset(len(edges))
+	dead.Set(2) // cut 2-3
+	labels, count := g.Components(dead)
 	if count != 2 {
 		t.Fatalf("count = %d, want 2", count)
 	}
@@ -103,25 +101,21 @@ func TestParallelEdgesRedundancy(t *testing.T) {
 	g := New()
 	a, b := g.AddNode("a"), g.AddNode("b")
 	e1 := g.AddEdge(a, b)
-	e2 := g.AddEdge(a, b)
-	mask := AliveMask{false, true}
-	_ = e1
-	_ = e2
-	ok, err := g.SameComponent(a, b, mask)
-	if err != nil || !ok {
-		t.Error("parallel edge should keep nodes connected")
+	g.AddEdge(a, b)
+	dead := NewBitset(g.NumEdges())
+	dead.Set(int(e1))
+	labels, count := g.Components(dead)
+	if count != 1 || labels[a] != labels[b] {
+		t.Errorf("labels %v (%d components): the parallel edge should keep a and b connected", labels, count)
 	}
 }
 
 func TestReachable(t *testing.T) {
 	g, edges := buildPath(6)
-	mask := make(AliveMask, len(edges))
-	for i := range mask {
-		mask[i] = true
-	}
-	mask[3] = false // cut 3-4
+	dead := NewBitset(len(edges))
+	dead.Set(3) // cut 3-4
 	s := g.NewScratch()
-	got, err := s.Reachable(nil, 0, mask)
+	got, err := s.Reachable(nil, 0, dead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,26 +132,43 @@ func TestReachable(t *testing.T) {
 	}
 }
 
+// isolated returns the nodes that have edges but share a component with
+// no other node once dead is removed — the paper's unreachable nodes
+// (§4.3.1), read from Components labels.
+func isolated(g *Graph, dead Bitset) []NodeID {
+	labels, count := g.Components(dead)
+	size := make([]int, count)
+	for _, l := range labels {
+		size[l]++
+	}
+	var out []NodeID
+	for n, l := range labels {
+		if g.Degree(NodeID(n)) > 0 && size[l] == 1 {
+			out = append(out, NodeID(n))
+		}
+	}
+	return out
+}
+
 func TestIsolated(t *testing.T) {
 	g := New()
 	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
 	g.AddNode("never-connected")
 	e1 := g.AddEdge(a, b)
-	e2 := g.AddEdge(b, c)
-	mask := make(AliveMask, 2)
-	mask[e1] = false
-	mask[e2] = true
-	iso := g.Isolated(mask)
+	g.AddEdge(b, c)
+	dead := NewBitset(g.NumEdges())
+	dead.Set(int(e1))
+	iso := isolated(g, dead)
 	if len(iso) != 1 || iso[0] != a {
-		t.Errorf("Isolated = %v, want [a]; node with an alive edge or no edges must not count", iso)
+		t.Errorf("isolated = %v, want [a]; node with an alive edge or no edges must not count", iso)
 	}
 }
 
 func TestIsolatedAllDead(t *testing.T) {
 	g, edges := buildPath(4)
-	mask := make(AliveMask, len(edges)) // all false
-	iso := g.Isolated(mask)
-	if len(iso) != 4 {
+	dead := NewBitset(len(edges))
+	dead.SetRange(0, len(edges))
+	if iso := isolated(g, dead); len(iso) != 4 {
 		t.Errorf("all-dead path: %d isolated, want 4", len(iso))
 	}
 }
@@ -170,15 +181,22 @@ func TestLargestComponentSize(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(3, 4)
-	if got := g.LargestComponentSize(nil); got != 3 {
-		t.Errorf("LargestComponentSize = %d, want 3", got)
+	labels, count := g.Components(nil)
+	size := make([]int, count)
+	largest := 0
+	for _, l := range labels {
+		size[l]++
+		largest = max(largest, size[l])
+	}
+	if largest != 3 {
+		t.Errorf("largest component holds %d nodes, want 3", largest)
 	}
 }
 
 func TestSameComponentErrors(t *testing.T) {
 	g, _ := buildPath(2)
-	if _, err := g.SameComponent(0, NodeID(9), nil); err == nil {
-		t.Error("want error")
+	if _, err := g.NewScratch().Reachable(nil, NodeID(9), nil); !errors.Is(err, ErrBadNode) {
+		t.Errorf("same-component query from node 9 of 2: err %v, want ErrBadNode", err)
 	}
 }
 
@@ -265,7 +283,7 @@ func TestArticulationPointsLargePathIterative(t *testing.T) {
 }
 
 func TestComponentsMatchReachableProperty(t *testing.T) {
-	// Random graph + random mask: nodes are in the same component iff
+	// Random graph + random dead set: nodes are in the same component iff
 	// mutually reachable by BFS.
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
@@ -275,14 +293,16 @@ func TestComponentsMatchReachableProperty(t *testing.T) {
 			g.AddNode("")
 		}
 		m := rng.Intn(60)
-		mask := make(AliveMask, 0, m)
+		dead := NewBitset(m)
 		for i := 0; i < m; i++ {
 			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-			mask = append(mask, rng.Bool(0.7))
+			if !rng.Bool(0.7) {
+				dead.Set(i)
+			}
 		}
-		labels, _ := g.Components(mask)
+		labels, _ := g.Components(dead)
 		a := NodeID(rng.Intn(n))
-		reach, err := g.NewScratch().Reachable(nil, a, mask)
+		reach, err := g.NewScratch().Reachable(nil, a, dead)
 		if err != nil {
 			return false
 		}
@@ -391,13 +411,15 @@ func BenchmarkComponents(b *testing.B) {
 	for i := 0; i < n; i++ {
 		g.AddNode("")
 	}
-	mask := make(AliveMask, 0, 20000)
+	dead := NewBitset(20000)
 	for i := 0; i < 20000; i++ {
 		g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-		mask = append(mask, rng.Bool(0.8))
+		if !rng.Bool(0.8) {
+			dead.Set(i)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Components(mask)
+		g.Components(dead)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"math/bits"
 )
 
-// Scratch is reusable per-worker state for repeated masked queries over one
+// Scratch is reusable per-worker state for repeated dead-set queries over one
 // graph. The Monte Carlo engine runs thousands of trials against the same
 // topology; with a Scratch per worker those queries allocate nothing in
 // steady state.
@@ -54,25 +54,12 @@ func (s *Scratch) nextStamp() uint32 {
 	return s.stamp
 }
 
-// Components unions the alive edges into the scratch union-find and returns
-// it for Find/Connected queries. The result is valid until the next Scratch
-// call. Unlike Graph.Components it builds no label slice and no map.
-func (s *Scratch) Components(mask AliveMask) *UnionFind {
-	s.uf.Reset(s.g.NumNodes())
-	for _, e := range s.g.edges {
-		if mask.Alive(e.ID) {
-			s.uf.Union(int(e.A), int(e.B))
-		}
-	}
-	return s.uf
-}
-
 // Reachable appends the nodes reachable from start via alive edges
-// (including start) to dst and returns it, BFS order. It replaces the
-// map-based Graph.Reachable on hot paths: visited state is a stamp array
-// and the queue is a reused slice, so steady-state calls allocate nothing
-// when dst has capacity.
-func (s *Scratch) Reachable(dst []NodeID, start NodeID, mask AliveMask) ([]NodeID, error) {
+// (including start) to dst and returns it, BFS order. Edge e is alive iff
+// bit e of deadEdges is zero; a nil set means every edge is alive. Visited
+// state is a stamp array and the queue is a reused slice, so steady-state
+// calls allocate nothing when dst has capacity.
+func (s *Scratch) Reachable(dst []NodeID, start NodeID, deadEdges Bitset) ([]NodeID, error) {
 	if !s.g.validNode(start) {
 		return dst, fmt.Errorf("%w: %d", ErrBadNode, start)
 	}
@@ -82,7 +69,7 @@ func (s *Scratch) Reachable(dst []NodeID, start NodeID, mask AliveMask) ([]NodeI
 	for head := 0; head < len(s.queue); head++ {
 		n := s.queue[head]
 		for _, e := range s.g.adj[n] {
-			if !mask.Alive(e) {
+			if deadEdges != nil && deadEdges.Get(int(e)) {
 				continue
 			}
 			o := s.g.Other(e, n)
@@ -95,27 +82,31 @@ func (s *Scratch) Reachable(dst []NodeID, start NodeID, mask AliveMask) ([]NodeI
 	return append(dst, s.queue...), nil
 }
 
-// AnyConnected reports whether any node of from shares a component with any
-// node of to under the mask, using the scratch union-find and stamp marks.
-// It is the zero-allocation form of the Components+label-intersection
-// pattern used by the country connectivity analysis.
-func (s *Scratch) AnyConnected(mask AliveMask, from, to []NodeID) bool {
-	return s.anyConnected(s.Components(mask), from, to)
-}
-
-// ComponentsBits is Components with a packed dead-edge set: edge e is alive
-// iff bit e of deadEdges is zero. A nil bitset means every edge is alive.
-// deadEdges must span every edge ID (BitsetWords(NumEdges()) words).
+// ComponentsBits unions the alive edges into the scratch union-find and
+// returns it for Find/Connected queries: edge e is alive iff bit e of
+// deadEdges is zero, and a nil bitset means every edge is alive. deadEdges
+// must span every edge ID (BitsetWords(NumEdges()) words). The result is
+// valid until the next Scratch call; unlike Graph.Components it builds no
+// label slice.
 //
 //gicnet:hotpath
 func (s *Scratch) ComponentsBits(deadEdges Bitset) *UnionFind {
 	s.uf.Reset(s.g.NumNodes())
-	edges := s.g.edges
+	s.g.unionAlive(s.uf, deadEdges)
+	return s.uf
+}
+
+// unionAlive unions the endpoints of every edge outside deadEdges, in
+// ascending edge order, into uf.
+//
+//gicnet:hotpath
+func (g *Graph) unionAlive(uf *UnionFind, deadEdges Bitset) {
+	edges := g.edges
 	if deadEdges == nil {
 		for i := range edges {
-			s.uf.Union(int(edges[i].A), int(edges[i].B))
+			uf.Union(int(edges[i].A), int(edges[i].B))
 		}
-		return s.uf
+		return
 	}
 	// Invert word by word and walk the alive bits, skipping dead edges
 	// without a per-edge branch.
@@ -128,13 +119,15 @@ func (s *Scratch) ComponentsBits(deadEdges Bitset) *UnionFind {
 		for alive != 0 {
 			e := &edges[base+bits.TrailingZeros64(alive)]
 			alive &= alive - 1
-			s.uf.Union(int(e.A), int(e.B))
+			uf.Union(int(e.A), int(e.B))
 		}
 	}
-	return s.uf
 }
 
-// AnyConnectedBits is AnyConnected over a packed dead-edge set.
+// AnyConnectedBits reports whether any node of from shares a component
+// with any node of to with the edges of deadEdges removed, using the
+// scratch union-find and stamp marks: the zero-allocation form of the
+// Components+label-intersection pattern.
 //
 //gicnet:hotpath
 func (s *Scratch) AnyConnectedBits(deadEdges Bitset, from, to []NodeID) bool {

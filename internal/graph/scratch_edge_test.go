@@ -9,12 +9,12 @@ import (
 
 // TestScratchEdgeCases table-drives the scratch machinery over the shapes
 // the Monte Carlo engine never exercises but refactors keep breaking:
-// empty graphs, single nodes, self-loops, and dead-everything masks.
+// empty graphs, single nodes, self-loops, and dead-everything sets.
 func TestScratchEdgeCases(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() *Graph
-		mask  func(g *Graph) AliveMask // nil = all alive
+		dead  func(g *Graph) Bitset // nil = all alive
 		// wantComponents counts components; wantReach maps a start node
 		// to its expected reachable-set size (-1 = expect an error).
 		wantComponents int
@@ -59,7 +59,11 @@ func TestScratchEdgeCases(t *testing.T) {
 				g.AddEdge(a, b)
 				return g
 			},
-			mask:           func(g *Graph) AliveMask { return make(AliveMask, g.NumEdges()) },
+			dead: func(g *Graph) Bitset {
+				d := NewBitset(g.NumEdges())
+				d.SetRange(0, g.NumEdges())
+				return d
+			},
 			wantComponents: 2,
 			reachStart:     0,
 			wantReach:      1,
@@ -73,10 +77,10 @@ func TestScratchEdgeCases(t *testing.T) {
 				g.AddEdge(a, b)
 				return g
 			},
-			mask: func(g *Graph) AliveMask {
-				m := make(AliveMask, g.NumEdges())
-				m[1] = true
-				return m
+			dead: func(g *Graph) Bitset {
+				d := NewBitset(g.NumEdges())
+				d.Set(0)
+				return d
 			},
 			wantComponents: 1,
 			reachStart:     0,
@@ -87,17 +91,17 @@ func TestScratchEdgeCases(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			g := c.build()
 			s := g.NewScratch()
-			var mask AliveMask
-			if c.mask != nil {
-				mask = c.mask(g)
+			var dead Bitset
+			if c.dead != nil {
+				dead = c.dead(g)
 			}
 			// Run every query twice: scratch reuse must not change answers.
 			for pass := 0; pass < 2; pass++ {
-				uf := s.Components(mask)
+				uf := s.ComponentsBits(dead)
 				if got := uf.Sets(); got != c.wantComponents {
 					t.Fatalf("pass %d: components = %d, want %d", pass, got, c.wantComponents)
 				}
-				nodes, err := s.Reachable(nil, c.reachStart, mask)
+				nodes, err := s.Reachable(nil, c.reachStart, dead)
 				if c.wantReach < 0 {
 					if !errors.Is(err, ErrBadNode) {
 						t.Fatalf("pass %d: Reachable err = %v, want ErrBadNode", pass, err)
@@ -187,17 +191,17 @@ func TestScratchAcrossDifferentlySizedGraphs(t *testing.T) {
 			}
 		}
 		// Component queries on both scratches stay independent too.
-		if got := ss.Components(nil).Sets(); got != 1 {
+		if got := ss.ComponentsBits(nil).Sets(); got != 1 {
 			t.Fatalf("round %d: small components = %d, want 1", round, got)
 		}
-		if got := sb.Components(nil).Sets(); got != 1 {
+		if got := sb.ComponentsBits(nil).Sets(); got != 1 {
 			t.Fatalf("round %d: big components = %d, want 1", round, got)
 		}
 	}
 
-	// A scratch must also survive its graph being *queried* through a
-	// bigger mask than it has edges for — i.e., nil masks of any size.
-	if got := big.ComponentCount(nil); got != 1 {
-		t.Fatalf("ComponentCount(nil) = %d, want 1", got)
+	// The graph-level query on the bigger graph agrees after the scratch
+	// queries.
+	if _, got := big.Components(nil); got != 1 {
+		t.Fatalf("Components(nil) count = %d, want 1", got)
 	}
 }

@@ -23,18 +23,51 @@ func ladder() *Graph {
 	return g
 }
 
+// deadEdges returns a dead-edge set over n edges holding ids.
+func deadEdges(n int, ids ...int) Bitset {
+	b := NewBitset(n)
+	for _, i := range ids {
+		b.Set(i)
+	}
+	return b
+}
+
+// bfsLabels labels components by flood fill through Scratch.Reachable,
+// whose BFS tests each edge with Get: an oracle for the word-walking
+// union-find paths that shares no code with them.
+func bfsLabels(g *Graph, dead Bitset) ([]int, int) {
+	s := g.NewScratch()
+	labels := make([]int, g.NumNodes())
+	for i := range labels {
+		labels[i] = -1
+	}
+	count := 0
+	var buf []NodeID
+	for start := range labels {
+		if labels[start] >= 0 {
+			continue
+		}
+		buf, _ = s.Reachable(buf[:0], NodeID(start), dead)
+		for _, n := range buf {
+			labels[n] = count
+		}
+		count++
+	}
+	return labels, count
+}
+
 func TestScratchReachableMatchesMap(t *testing.T) {
 	g := ladder()
 	s := g.NewScratch()
-	masks := []AliveMask{
+	sets := []Bitset{
 		nil,
-		{true, true, true, true, true},
-		{false, false, true, true, true},
-		{true, false, false, false, false},
-		{false, false, false, false, false},
+		deadEdges(5),
+		deadEdges(5, 0, 1),
+		deadEdges(5, 1, 2, 3, 4),
+		deadEdges(5, 0, 1, 2, 3, 4),
 	}
-	for _, mask := range masks {
-		labels, _ := g.Components(mask)
+	for _, dead := range sets {
+		labels, _ := g.Components(dead)
 		for start := 0; start < g.NumNodes(); start++ {
 			want := map[NodeID]bool{}
 			for n, l := range labels {
@@ -42,16 +75,16 @@ func TestScratchReachableMatchesMap(t *testing.T) {
 					want[NodeID(n)] = true
 				}
 			}
-			got, err := s.Reachable(nil, NodeID(start), mask)
+			got, err := s.Reachable(nil, NodeID(start), dead)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("mask %v start %d: %d nodes, want %d", mask, start, len(got), len(want))
+				t.Fatalf("dead %v start %d: %d nodes, want %d", dead, start, len(got), len(want))
 			}
 			for _, n := range got {
 				if !want[n] {
-					t.Fatalf("mask %v start %d: scratch visited %d outside the start's component", mask, start, n)
+					t.Fatalf("dead %v start %d: scratch visited %d outside the start's component", dead, start, n)
 				}
 			}
 		}
@@ -79,16 +112,18 @@ func TestScratchReachableReusesStorage(t *testing.T) {
 func TestScratchComponentsMatchesGraph(t *testing.T) {
 	g := ladder()
 	s := g.NewScratch()
-	for _, mask := range []AliveMask{nil, {true, false, false, true, true}, {false, false, false, false, false}} {
-		labels, count := g.Components(mask)
-		uf := s.Components(mask)
-		if uf.Sets() != count {
-			t.Fatalf("mask %v: scratch sets %d, graph count %d", mask, uf.Sets(), count)
+	for _, dead := range []Bitset{nil, deadEdges(5, 1, 2), deadEdges(5, 0, 1, 2, 3, 4)} {
+		labels, count := g.Components(dead)
+		bfs, bfsCount := bfsLabels(g, dead)
+		uf := s.ComponentsBits(dead)
+		if uf.Sets() != count || count != bfsCount {
+			t.Fatalf("dead %v: scratch sets %d, graph count %d, BFS count %d", dead, uf.Sets(), count, bfsCount)
 		}
 		for a := 0; a < g.NumNodes(); a++ {
 			for b := 0; b < g.NumNodes(); b++ {
-				if (labels[a] == labels[b]) != uf.Connected(a, b) {
-					t.Fatalf("mask %v: connectivity of (%d,%d) disagrees", mask, a, b)
+				want := bfs[a] == bfs[b]
+				if (labels[a] == labels[b]) != want || uf.Connected(a, b) != want {
+					t.Fatalf("dead %v: connectivity of (%d,%d) disagrees with BFS", dead, a, b)
 				}
 			}
 		}
@@ -99,27 +134,27 @@ func TestScratchAnyConnected(t *testing.T) {
 	g := ladder()
 	s := g.NewScratch()
 	cases := []struct {
-		mask     AliveMask
+		dead     Bitset
 		from, to []NodeID
 		want     bool
 	}{
 		{nil, []NodeID{0}, []NodeID{2}, true},
 		{nil, []NodeID{0}, []NodeID{4}, false},
 		{nil, []NodeID{0, 3}, []NodeID{4}, true},
-		{AliveMask{false, false, false, false, false}, []NodeID{0}, []NodeID{1}, false},
-		{AliveMask{true, false, false, false, false}, []NodeID{0}, []NodeID{1}, true},
+		{deadEdges(5, 0, 1, 2, 3, 4), []NodeID{0}, []NodeID{1}, false},
+		{deadEdges(5, 1, 2, 3, 4), []NodeID{0}, []NodeID{1}, true},
 		{nil, nil, []NodeID{1}, false},
 	}
 	for i, c := range cases {
-		if got := s.AnyConnected(c.mask, c.from, c.to); got != c.want {
-			t.Errorf("case %d: AnyConnected = %v, want %v", i, got, c.want)
+		if got := s.AnyConnectedBits(c.dead, c.from, c.to); got != c.want {
+			t.Errorf("case %d: AnyConnectedBits = %v, want %v", i, got, c.want)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.AnyConnected(nil, []NodeID{0}, []NodeID{4})
+		s.AnyConnectedBits(nil, []NodeID{0}, []NodeID{4})
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state AnyConnected allocates %v/op, want 0", allocs)
+		t.Errorf("steady-state AnyConnectedBits allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/stats"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
@@ -92,18 +93,24 @@ func (m Model) regionOf(nd topology.Node) int {
 	return -1
 }
 
-// Cascade samples one grid realisation and extends a cable-death vector:
-// a cable also dies if any of its landing stations sits in a collapsed
-// grid region and has no working backup. The input vector is not
-// modified; the extended copy is returned along with the count of
-// stations that went dark.
-func (m Model) Cascade(net *topology.Network, cableDead []bool, rng *xrand.Source) ([]bool, int, error) {
+// Cascade samples one grid realisation and extends a dead-cable set: a
+// cable also dies if any of its landing stations sits in a collapsed grid
+// region and has no working backup. The input set is not modified; the
+// extended copy is returned along with the count of stations that went
+// dark. A network or set that topology.ValidateDead refuses is an error.
+func (m Model) Cascade(net *topology.Network, cableDead graph.Bitset, rng *xrand.Source) (graph.Bitset, int, error) {
 	if err := m.Validate(); err != nil {
 		return nil, 0, err
 	}
-	if len(cableDead) != len(net.Cables) {
-		return nil, 0, errors.New("grid: death vector length mismatch")
+	if err := net.ValidateDead(cableDead); err != nil {
+		return nil, 0, fmt.Errorf("grid: %w", err)
 	}
+	out, dark := m.cascade(net, cableDead, rng)
+	return out, dark, nil
+}
+
+// cascade is Cascade on a model and set already checked.
+func (m Model) cascade(net *topology.Network, cableDead graph.Bitset, rng *xrand.Source) (graph.Bitset, int) {
 	regionDown := make([]bool, len(m.Regions))
 	for i, r := range m.Regions {
 		regionDown[i] = rng.Bool(r.FailProb)
@@ -121,20 +128,20 @@ func (m Model) Cascade(net *topology.Network, cableDead []bool, rng *xrand.Sourc
 		dark[i] = true
 		darkCount++
 	}
-	out := make([]bool, len(cableDead))
+	out := graph.NewBitset(len(net.Cables))
 	copy(out, cableDead)
 	for ci, c := range net.Cables {
-		if out[ci] {
+		if out.Get(ci) {
 			continue
 		}
 		for _, s := range c.Segments {
 			if dark[s.A] || dark[s.B] {
-				out[ci] = true
+				out.Set(ci)
 				break
 			}
 		}
 	}
-	return out, darkCount, nil
+	return out, darkCount
 }
 
 // Amplification compares Internet failures with and without grid coupling.
@@ -159,7 +166,8 @@ func (a *Amplification) Factor() float64 {
 }
 
 // Compare runs trials of the repeater model alone vs coupled with the
-// grid model.
+// grid model. Trial ti draws its cable deaths from root.Split(ti) with
+// failure.Plan.SampleDense, and the grid draws continue that stream.
 func Compare(net *topology.Network, fm failure.Model, gm Model, spacingKm float64, trials int, seed uint64) (*Amplification, error) {
 	if trials <= 0 {
 		return nil, errors.New("grid: trials must be positive")
@@ -167,20 +175,22 @@ func Compare(net *topology.Network, fm failure.Model, gm Model, spacingKm float6
 	if err := gm.Validate(); err != nil {
 		return nil, err
 	}
+	if err := net.ValidateDead(nil); err != nil {
+		return nil, fmt.Errorf("grid: %w", err)
+	}
+	plan, err := failure.Compile(net, fm, spacingKm)
+	if err != nil {
+		return nil, err
+	}
 	root := xrand.New(seed)
 	amp := &Amplification{}
+	dead := plan.NewDead()
 	for ti := 0; ti < trials; ti++ {
 		rng := root.Split(uint64(ti))
-		dead, err := failure.SampleCableDeaths(net, fm, spacingKm, rng)
-		if err != nil {
-			return nil, err
-		}
-		amp.CableFracAlone.Add(failure.Evaluate(net, dead).CableFrac)
-		coupled, dark, err := gm.Cascade(net, dead, rng)
-		if err != nil {
-			return nil, err
-		}
-		amp.CableFracCoupled.Add(failure.Evaluate(net, coupled).CableFrac)
+		plan.SampleDense(dead, rng)
+		amp.CableFracAlone.Add(plan.Evaluate(dead).CableFrac)
+		coupled, dark := gm.cascade(net, dead, rng)
+		amp.CableFracCoupled.Add(plan.Evaluate(coupled).CableFrac)
 		amp.StationsDark.Add(float64(dark))
 	}
 	return amp, nil

@@ -1,11 +1,15 @@
 package grid
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
+	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
 
@@ -52,11 +56,14 @@ func TestCascadeNeverRevivesCables(t *testing.T) {
 	w := subNet(t)
 	net := w.Submarine
 	m := DefaultModel(s1Probs())
-	rng := xrand.New(1)
-	dead, err := failure.SampleCableDeaths(net, failure.S1(), 150, rng)
+	plan, err := failure.Compile(net, failure.S1(), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := xrand.New(1)
+	dead := plan.NewDead()
+	plan.SampleDense(dead, rng)
+	input := append(graph.Bitset(nil), dead...)
 	coupled, dark, err := m.Cascade(net, dead, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -64,21 +71,21 @@ func TestCascadeNeverRevivesCables(t *testing.T) {
 	if dark < 0 {
 		t.Error("negative dark count")
 	}
-	for i := range dead {
-		if dead[i] && !coupled[i] {
+	for ci := range net.Cables {
+		if dead.Get(ci) && !coupled.Get(ci) {
 			t.Fatal("cascade revived a dead cable")
 		}
 	}
-	// input untouched
-	dead2, _ := failure.SampleCableDeaths(net, failure.S1(), 150, xrand.New(1).Split(0))
-	_ = dead2
+	if !slices.Equal(dead, input) {
+		t.Error("cascade modified its input set")
+	}
 }
 
 func TestCascadeZeroGridFailure(t *testing.T) {
 	w := subNet(t)
 	net := w.Submarine
 	m := DefaultModel([geo.NumBands]float64{})
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	coupled, dark, err := m.Cascade(net, dead, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +93,8 @@ func TestCascadeZeroGridFailure(t *testing.T) {
 	if dark != 0 {
 		t.Errorf("dark stations = %d with no grid failures", dark)
 	}
-	for _, d := range coupled {
-		if d {
-			t.Fatal("cables died without any failure source")
-		}
+	if n := coupled.Count(); n != 0 {
+		t.Fatalf("%d cables died without any failure source", n)
 	}
 }
 
@@ -98,7 +103,7 @@ func TestCascadeTotalGridFailureNoBackup(t *testing.T) {
 	net := w.Submarine
 	m := DefaultModel([geo.NumBands]float64{1, 1, 1})
 	m.BackupProb = 0
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	coupled, dark, err := m.Cascade(net, dead, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +111,8 @@ func TestCascadeTotalGridFailureNoBackup(t *testing.T) {
 	if dark != len(net.Nodes) {
 		t.Errorf("dark = %d, want all %d stations", dark, len(net.Nodes))
 	}
-	for ci, d := range coupled {
-		if !d {
+	for ci := range net.Cables {
+		if !coupled.Get(ci) {
 			t.Fatalf("cable %d survived a total blackout", ci)
 		}
 	}
@@ -116,8 +121,8 @@ func TestCascadeTotalGridFailureNoBackup(t *testing.T) {
 func TestCascadeLengthMismatch(t *testing.T) {
 	w := subNet(t)
 	m := DefaultModel(s1Probs())
-	if _, _, err := m.Cascade(w.Submarine, make([]bool, 2), xrand.New(1)); err == nil {
-		t.Error("want length mismatch error")
+	if _, _, err := m.Cascade(w.Submarine, graph.NewBitset(2), xrand.New(1)); !errors.Is(err, topology.ErrDeadSet) {
+		t.Errorf("err %v, want topology.ErrDeadSet", err)
 	}
 }
 

@@ -36,15 +36,15 @@ type Fragmentation struct {
 	RegionSplit map[geo.Region]int
 }
 
-// Analyze computes the fragmentation of a network under a cable-death
-// realisation: component labels come from one Components pass over the
-// alive edges.
-func Analyze(net *topology.Network, cableDead []bool) (*Fragmentation, error) {
-	if len(cableDead) != len(net.Cables) {
-		return nil, errors.New("partition: death vector length mismatch")
+// Analyze computes the fragmentation of a network under a dead-cable set:
+// component labels come from one Components pass over the alive edges. A
+// network or set that topology.ValidateDead refuses is an error.
+func Analyze(net *topology.Network, cableDead graph.Bitset) (*Fragmentation, error) {
+	if err := net.ValidateDead(cableDead); err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
 	}
 	g := net.Graph()
-	labels, _ := g.Components(net.AliveMask(cableDead))
+	labels, _ := g.Components(net.DeadEdgeBitsInto(nil, cableDead))
 	// Only nodes with a live cable participate in "components".
 	iso := map[int]bool{}
 	for _, n := range net.UnreachableNodes(cableDead) {

@@ -2,12 +2,14 @@ package partition
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"gicnet/internal/core"
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
@@ -23,7 +25,7 @@ func world(t *testing.T) *dataset.World {
 
 func TestAnalyzeNoFailures(t *testing.T) {
 	net := world(t).Submarine
-	f, err := Analyze(net, make([]bool, len(net.Cables)))
+	f, err := Analyze(net, graph.NewBitset(len(net.Cables)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +47,8 @@ func TestAnalyzeNoFailures(t *testing.T) {
 
 func TestAnalyzeAllDead(t *testing.T) {
 	net := world(t).Submarine
-	dead := make([]bool, len(net.Cables))
-	for i := range dead {
-		dead[i] = true
-	}
+	dead := graph.NewBitset(len(net.Cables))
+	dead.SetRange(0, len(net.Cables))
 	f, err := Analyze(net, dead)
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +63,8 @@ func TestAnalyzeAllDead(t *testing.T) {
 
 func TestAnalyzeLengthMismatch(t *testing.T) {
 	net := world(t).Submarine
-	if _, err := Analyze(net, make([]bool, 3)); err == nil {
-		t.Error("want length mismatch error")
+	if _, err := Analyze(net, graph.NewBitset(3)); !errors.Is(err, topology.ErrDeadSet) {
+		t.Errorf("err %v, want topology.ErrDeadSet", err)
 	}
 }
 
@@ -78,12 +78,10 @@ func averageFragmentation(t *testing.T, net *topology.Network, m failure.Model, 
 	}
 	root := xrand.New(seed)
 	dead := plan.NewDead()
-	deadBools := make([]bool, plan.NumCables())
 	for ti := 0; ti < trials; ti++ {
 		rng := root.SplitAt(uint64(ti))
 		plan.SampleInto(dead, &rng)
-		dead.Expand(deadBools)
-		f, err := Analyze(net, deadBools)
+		f, err := Analyze(net, dead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,13 +154,18 @@ func TestCompareAugmentationHelps(t *testing.T) {
 	}
 	_, before, _ := averageFragmentation(t, w.Submarine, failure.S1(), 12, 9)
 	augmented := w.Submarine
-	for _, c := range cands {
+	for i, c := range cands {
 		from, _ := dataset.AnchorByName(c.From)
 		to, _ := dataset.AnchorByName(c.To)
 		units := unitVecs(augmented)
 		nearFrom, nearTo := nearestOfCountry(augmented, units, from), nearestOfCountry(augmented, units, to)
 		if augmented, err = withCandidate(augmented, c, nearFrom, nearTo); err != nil {
 			t.Fatal(err)
+		}
+		// Candidates may share an anchor; Analyze refuses the duplicate
+		// landing names stacking them would leave.
+		for k := len(augmented.Nodes) - 2; k < len(augmented.Nodes); k++ {
+			augmented.Nodes[k].Name += fmt.Sprintf("#%d", i)
 		}
 	}
 	_, after, _ := averageFragmentation(t, augmented, failure.S1(), 12, 9)
@@ -221,7 +224,9 @@ func TestAnalyzeSyntheticPartition(t *testing.T) {
 			{Name: "bridge", Segments: []topology.Segment{{A: 1, B: 2, LengthKm: 9000}}},
 		},
 	}
-	f, err := Analyze(net, []bool{false, false, true})
+	bridge := graph.NewBitset(len(net.Cables))
+	bridge.Set(2)
+	f, err := Analyze(net, bridge)
 	if err != nil {
 		t.Fatal(err)
 	}

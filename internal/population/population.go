@@ -129,88 +129,3 @@ func (m *Model) SampleLat(rng *xrand.Source) float64 {
 	i := rng.Pick(m.mass)
 	return m.lats[i] + rng.Range(-m.binWidth/2, m.binWidth/2)
 }
-
-// Grid is a coarse population grid (counts per 1-degree cell), the
-// synthetic stand-in for the SEDAC gridded dataset. Longitude mass is
-// spread over a latitude-dependent set of inhabited longitudes.
-type Grid struct {
-	// Cells[latIdx][lonIdx] holds people per cell; latIdx 0 is 90S.
-	Cells [][]float64
-}
-
-// NewGrid synthesises a population grid totalling totalPeople.
-func NewGrid(totalPeople float64, rng *xrand.Source) (*Grid, error) {
-	m, err := New(1)
-	if err != nil {
-		return nil, err
-	}
-	g := &Grid{Cells: make([][]float64, 180)}
-	for i := range g.Cells {
-		g.Cells[i] = make([]float64, 360)
-	}
-	for i, lat := range m.lats {
-		rowMass := m.mass[i] * totalPeople
-		if rowMass == 0 {
-			continue
-		}
-		// Spread row mass across a handful of "inhabited" longitude
-		// clusters whose positions vary by latitude.
-		clusters := 3 + rng.Intn(5)
-		wsum := 0.0
-		for dl := -5; dl <= 5; dl++ {
-			wsum += math.Exp(-float64(dl*dl) / 8)
-		}
-		for c := 0; c < clusters; c++ {
-			centre := rng.Intn(360)
-			share := rowMass / float64(clusters)
-			for dl := -5; dl <= 5; dl++ {
-				lon := ((centre+dl)%360 + 360) % 360
-				w := math.Exp(-float64(dl*dl) / 8)
-				g.Cells[latIdx(lat)][lon] += share * w / wsum
-			}
-		}
-	}
-	return g, nil
-}
-
-func latIdx(lat float64) int {
-	i := int(lat + 90)
-	if i < 0 {
-		i = 0
-	}
-	if i > 179 {
-		i = 179
-	}
-	return i
-}
-
-// Total returns the total population on the grid.
-func (g *Grid) Total() float64 {
-	t := 0.0
-	for _, row := range g.Cells {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// FractionAbove returns the grid population share above |lat| threshold.
-func (g *Grid) FractionAbove(threshold float64) float64 {
-	total, above := 0.0, 0.0
-	for i, row := range g.Cells {
-		lat := float64(i) - 90 + 0.5
-		rowSum := 0.0
-		for _, v := range row {
-			rowSum += v
-		}
-		total += rowSum
-		if math.Abs(lat) > threshold {
-			above += rowSum
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return above / total
-}

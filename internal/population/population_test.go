@@ -118,33 +118,6 @@ func TestSampleLatMatchesModel(t *testing.T) {
 	}
 }
 
-func TestGridTotalAndMarginal(t *testing.T) {
-	rng := xrand.New(2)
-	g, err := NewGrid(7.8e9, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g.Total()-7.8e9) > 0.02*7.8e9 {
-		t.Errorf("grid total = %v, want ~7.8e9", g.Total())
-	}
-	m, _ := New(1)
-	got := g.FractionAbove(40)
-	want := m.FractionAbove(40)
-	if math.Abs(got-want) > 0.03 {
-		t.Errorf("grid above-40 = %v, model %v", got, want)
-	}
-}
-
-func TestGridFractionAboveEmpty(t *testing.T) {
-	g := &Grid{Cells: make([][]float64, 180)}
-	for i := range g.Cells {
-		g.Cells[i] = make([]float64, 360)
-	}
-	if g.FractionAbove(40) != 0 {
-		t.Error("empty grid should report 0")
-	}
-}
-
 func TestBinCentersCopy(t *testing.T) {
 	m, _ := New(2)
 	c := m.BinCenters()

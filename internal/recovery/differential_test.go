@@ -53,11 +53,13 @@ func TestPlanRecoveryMatchesRescan(t *testing.T) {
 	fleets := [][]recovery.Ship{recovery.DefaultFleet(), recovery.DefaultFleet()[3:5]}
 	check := func(net *topology.Network, m failure.Model, seed uint64) {
 		t.Helper()
-		rng := xrand.New(seed)
-		dead, err := failure.SampleCableDeaths(net, m, 150, rng)
+		plan, err := failure.Compile(net, m, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rng := xrand.New(seed)
+		dead := plan.NewDead()
+		plan.SampleDense(dead, rng)
 		faults, err := recovery.FaultsFrom(net, dead, 150, 0.1, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -9,10 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
@@ -28,13 +30,15 @@ type Fault struct {
 	Location geo.Coord
 }
 
-// FaultsFrom samples faults for every dead cable: the number of damaged
-// repeaters is Binomial(repeaters, severity), at least 1. Networks without
-// coordinates get faults at an unknown location (zero coordinate) —
-// transit time still accrues from the ship's position.
-func FaultsFrom(net *topology.Network, cableDead []bool, spacingKm, severity float64, rng *xrand.Source) ([]Fault, error) {
-	if len(cableDead) != len(net.Cables) {
-		return nil, errors.New("recovery: death vector length mismatch")
+// FaultsFrom samples faults for every dead cable, in ascending cable
+// order: the number of damaged repeaters is Binomial(repeaters, severity),
+// at least 1. Networks without coordinates get faults at an unknown
+// location (zero coordinate) — transit time still accrues from the ship's
+// position. A network or set that topology.ValidateDead refuses is an
+// error wrapping ErrBadInput.
+func FaultsFrom(net *topology.Network, cableDead graph.Bitset, spacingKm, severity float64, rng *xrand.Source) ([]Fault, error) {
+	if err := net.ValidateDead(cableDead); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
 	if severity <= 0 || severity > 1 {
 		return nil, errors.New("recovery: severity must be in (0,1]")
@@ -43,27 +47,27 @@ func FaultsFrom(net *topology.Network, cableDead []bool, spacingKm, severity flo
 		return nil, err
 	}
 	var out []Fault
-	for ci, dead := range cableDead {
-		if !dead {
-			continue
-		}
-		reps := net.Cables[ci].RepeaterCount(spacingKm)
-		damaged := 0
-		for r := 0; r < reps; r++ {
-			if rng.Bool(severity) {
-				damaged++
+	for wi, w := range cableDead {
+		for ; w != 0; w &= w - 1 {
+			ci := wi<<6 + bits.TrailingZeros64(w)
+			reps := net.Cables[ci].RepeaterCount(spacingKm)
+			damaged := 0
+			for r := 0; r < reps; r++ {
+				if rng.Bool(severity) {
+					damaged++
+				}
 			}
+			if damaged == 0 {
+				damaged = 1 // the cable died; something broke
+			}
+			f := Fault{Cable: ci, DamagedRepeaters: damaged}
+			seg := net.Cables[ci].Segments[0]
+			a, b := net.Nodes[seg.A], net.Nodes[seg.B]
+			if a.HasCoord && b.HasCoord {
+				f.Location = geo.Midpoint(a.Coord, b.Coord)
+			}
+			out = append(out, f)
 		}
-		if damaged == 0 {
-			damaged = 1 // the cable died; something broke
-		}
-		f := Fault{Cable: ci, DamagedRepeaters: damaged}
-		seg := net.Cables[ci].Segments[0]
-		a, b := net.Nodes[seg.A], net.Nodes[seg.B]
-		if a.HasCoord && b.HasCoord {
-			f.Location = geo.Midpoint(a.Coord, b.Coord)
-		}
-		out = append(out, f)
 	}
 	return out, nil
 }
@@ -130,8 +134,9 @@ type Schedule struct {
 	RestoredAt map[float64]float64
 }
 
-// ErrBadInput reports a fleet, fault list or repair option that
-// PlanRecovery cannot schedule.
+// ErrBadInput reports a network or dead-cable set FaultsFrom cannot index,
+// or a fleet, fault list or repair option that PlanRecovery cannot
+// schedule.
 var ErrBadInput = errors.New("recovery: invalid input")
 
 // PlanRecovery greedily schedules the fleet: whenever a ship frees up, it

@@ -7,11 +7,24 @@ import (
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
 
-func stormDamage(t *testing.T) (*topology.Network, []Fault, []bool) {
+// sampleDead draws one realisation of m on net with Plan.SampleDense.
+func sampleDead(t *testing.T, net *topology.Network, m failure.Model, rng *xrand.Source) graph.Bitset {
+	t.Helper()
+	plan, err := failure.Compile(net, m, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := plan.NewDead()
+	plan.SampleDense(dead, rng)
+	return dead
+}
+
+func stormDamage(t *testing.T) (*topology.Network, []Fault, graph.Bitset) {
 	t.Helper()
 	w, err := dataset.Default()
 	if err != nil {
@@ -19,10 +32,7 @@ func stormDamage(t *testing.T) (*topology.Network, []Fault, []bool) {
 	}
 	net := w.Submarine
 	rng := xrand.New(42)
-	dead, err := failure.SampleCableDeaths(net, failure.S2(), 150, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dead := sampleDead(t, net, failure.S2(), rng)
 	faults, err := FaultsFrom(net, dead, 150, 0.1, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +46,8 @@ func stormDamage(t *testing.T) (*topology.Network, []Fault, []bool) {
 func TestFaultsFromValidation(t *testing.T) {
 	net, _, dead := stormDamage(t)
 	rng := xrand.New(1)
-	if _, err := FaultsFrom(net, make([]bool, 2), 150, 0.1, rng); err == nil {
-		t.Error("want length error")
+	if _, err := FaultsFrom(net, graph.NewBitset(2), 150, 0.1, rng); !errors.Is(err, topology.ErrDeadSet) {
+		t.Errorf("short set: err %v, want topology.ErrDeadSet", err)
 	}
 	if _, err := FaultsFrom(net, dead, 150, 0, rng); err == nil {
 		t.Error("want severity error")
@@ -54,14 +64,8 @@ func TestFaultsFromValidation(t *testing.T) {
 
 func TestFaultsHaveDamage(t *testing.T) {
 	net, faults, dead := stormDamage(t)
-	deadCount := 0
-	for _, d := range dead {
-		if d {
-			deadCount++
-		}
-	}
-	if len(faults) != deadCount {
-		t.Errorf("faults = %d, dead cables = %d", len(faults), deadCount)
+	if len(faults) != dead.Count() {
+		t.Errorf("faults = %d, dead cables = %d", len(faults), dead.Count())
 	}
 	for _, f := range faults {
 		if f.DamagedRepeaters < 1 {
@@ -193,10 +197,7 @@ func TestPlanRecoveryAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(7)
-	dead, err := failure.SampleCableDeaths(w.Submarine, failure.S2(), 150, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dead := sampleDead(t, w.Submarine, failure.S2(), rng)
 	faults, err := FaultsFrom(w.Submarine, dead, 150, 0.1, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -238,9 +239,9 @@ func TestRestorationCurveMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	for _, f := range faults {
-		dead[f.Cable] = true
+		dead.Set(f.Cable)
 	}
 	total := net.ConnectedNodeCount()
 	restored := total - len(net.UnreachableNodes(dead))
@@ -271,11 +272,11 @@ func TestSchedulerPrioritisesReconnection(t *testing.T) {
 
 	// Find a cable whose death isolates nodes, and one that doesn't.
 	var valuable, redundant = -1, -1
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	for ci := range net.Cables {
-		dead[ci] = true
+		dead.Set(ci)
 		iso := len(net.UnreachableNodes(dead))
-		dead[ci] = false
+		dead.Unset(ci)
 		if iso > 0 && valuable < 0 {
 			valuable = ci
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 )
 
@@ -26,9 +27,9 @@ func PlanRecoveryRescan(net *topology.Network, faults []Fault, fleet []Ship, opt
 			return nil, fmt.Errorf("recovery: fault references cable %d", f.Cable)
 		}
 	}
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	for _, f := range faults {
-		dead[f.Cable] = true
+		dead.Set(f.Cable)
 	}
 	baselineUnreachable := len(net.UnreachableNodes(dead))
 	preStormReachable := net.ConnectedNodeCount()
@@ -61,12 +62,12 @@ func PlanRecoveryRescan(net *topology.Network, faults []Fault, fleet []Ship, opt
 			transit := geo.Haversine(ship.pos, f.Location) / ship.ship.SpeedKmPerDay
 			repair := opts.BaseDays + opts.DaysPerRepeater*float64(f.DamagedRepeaters)
 			done := ship.free + transit + repair
-			dead[f.Cable] = false
+			dead.Unset(f.Cable)
 			restored := 0
 			if baselineUnreachable > 0 {
 				restored = baselineUnreachable - len(net.UnreachableNodes(dead))
 			}
-			dead[f.Cable] = true
+			dead.Set(f.Cable)
 			rate := (float64(restored) + 0.1) / (transit + repair)
 			if rate > bestRate {
 				bestRate, bestIdx, bestDone = rate, fi, done
@@ -74,7 +75,7 @@ func PlanRecoveryRescan(net *topology.Network, faults []Fault, fleet []Ship, opt
 		}
 		f := pending[bestIdx]
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
-		dead[f.Cable] = false
+		dead.Unset(f.Cable)
 		baselineUnreachable = len(net.UnreachableNodes(dead))
 		sched.Events = append(sched.Events, Event{
 			Ship:  ship.ship.Name,
@@ -90,15 +91,13 @@ func PlanRecoveryRescan(net *topology.Network, faults []Fault, fleet []Ship, opt
 	}
 
 	sort.Slice(sched.Events, func(i, j int) bool { return sched.Events[i].Done < sched.Events[j].Done })
-	for i := range dead {
-		dead[i] = false
-	}
+	dead.Clear()
 	cableIdx := make(map[string]int, len(net.Cables))
 	for ci := range net.Cables {
 		cableIdx[net.Cables[ci].Name] = ci
 	}
 	for _, f := range faults {
-		dead[f.Cable] = true
+		dead.Set(f.Cable)
 	}
 	milestones := []float64{0.5, 0.9, 0.95, 1.0}
 	unreachable := len(net.UnreachableNodes(dead))
@@ -113,7 +112,7 @@ func PlanRecoveryRescan(net *topology.Network, faults []Fault, fleet []Ship, opt
 	record(0)
 	for ei := range sched.Events {
 		e := &sched.Events[ei]
-		dead[cableIdx[e.Cable]] = false
+		dead.Unset(cableIdx[e.Cable])
 		now := len(net.UnreachableNodes(dead))
 		e.NodesRestored = unreachable - now
 		unreachable = now

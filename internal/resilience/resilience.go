@@ -54,6 +54,8 @@ type Result struct {
 
 // Evaluate runs the standardised storm test: trials of cable failures on
 // the submarine network, measuring service availability for the placement.
+// Trial ti draws its cable deaths from root.Split(ti) with
+// failure.Plan.SampleDense.
 func Evaluate(w *dataset.World, p Placement, m failure.Model, spacingKm float64, trials int, seed uint64) (*Result, error) {
 	if len(p.Sites) == 0 {
 		return nil, errors.New("resilience: placement has no sites")
@@ -82,15 +84,18 @@ func Evaluate(w *dataset.World, p Placement, m failure.Model, spacingKm float64,
 		replicaNodes = append(replicaNodes, best)
 	}
 
+	plan, err := failure.Compile(net, m, spacingKm)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Placement: p.Name, Model: m.Name(), WorstTrial: 1}
 	root := xrand.New(seed)
+	dead := plan.NewDead()
+	var deadEdges graph.Bitset
 	for ti := 0; ti < trials; ti++ {
-		dead, err := failure.SampleCableDeaths(net, m, spacingKm, root.Split(uint64(ti)))
-		if err != nil {
-			return nil, err
-		}
-		mask := net.AliveMask(dead)
-		labels, _ := g.Components(mask)
+		plan.SampleDense(dead, root.Split(uint64(ti)))
+		deadEdges = net.DeadEdgeBitsInto(deadEdges, dead)
+		labels, _ := g.Components(deadEdges)
 
 		// Partitions that contain a replica.
 		served := map[int]bool{}

@@ -8,9 +8,22 @@ import (
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
+
+// boolsOf unpacks a dead set for the reference; nil stays nil (intact).
+func boolsOf(dead graph.Bitset, n int) []bool {
+	if dead == nil {
+		return nil
+	}
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = dead.Get(i)
+	}
+	return out
+}
 
 // sameReport compares two routing reports exactly: every segment load and
 // the stranded volume with ==.
@@ -42,13 +55,15 @@ func TestRouteMatchesReference(t *testing.T) {
 	demands := DefaultDemands()
 	models := []failure.Model{failure.S1(), failure.S2(), failure.Uniform{P: 0.05}}
 	for _, net := range []*topology.Network{w.Submarine, w.Intertubes} {
-		deads := [][]bool{nil}
+		deads := []graph.Bitset{nil}
 		for mi, m := range models {
+			plan, err := failure.Compile(net, m, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for seed := uint64(1); seed <= 5; seed++ {
-				dead, err := failure.SampleCableDeaths(net, m, 150, xrand.New(seed+uint64(10*mi)))
-				if err != nil {
-					t.Fatal(err)
-				}
+				dead := plan.NewDead()
+				plan.SampleDense(dead, xrand.New(seed+uint64(10*mi)))
 				deads = append(deads, dead)
 			}
 		}
@@ -57,7 +72,7 @@ func TestRouteMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := routeReference(net, demands, dead)
+			want, err := routeReference(net, demands, boolsOf(dead, len(net.Cables)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,16 +106,18 @@ func TestRouteMatchesReferenceWithTies(t *testing.T) {
 			}
 			net.Cables = append(net.Cables, cable)
 		}
-		dead := make([]bool, len(net.Cables))
-		for ci := range dead {
-			dead[ci] = r.Bool(0.2)
+		dead := graph.NewBitset(len(net.Cables))
+		for ci := range net.Cables {
+			if r.Bool(0.2) {
+				dead.Set(ci)
+			}
 		}
-		for _, d := range [][]bool{nil, dead} {
+		for _, d := range []graph.Bitset{nil, dead} {
 			got, err := Route(net, demands, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := routeReference(net, demands, d)
+			want, err := routeReference(net, demands, boolsOf(d, len(net.Cables)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,10 +27,9 @@ type Demand struct {
 	Volume   float64
 }
 
-// ErrBadInput reports a network or death vector that Route cannot index:
+// ErrBadInput reports a network or dead-cable set that Route cannot index:
 // a nil or invalid network (a segment naming a node that does not exist,
-// for example) or a death vector of the wrong length. The error wraps the
-// cause.
+// for example) or a set that does not fit it. The error wraps the cause.
 var ErrBadInput = errors.New("routing: invalid input")
 
 // ErrZeroDemand is returned when a demand matrix carries no positive
@@ -121,7 +120,8 @@ func (r *Report) StrandedFrac() float64 {
 }
 
 // Route routes every demand along the shortest surviving path between the
-// regions' gateway nodes. cableDead may be nil (intact network). Each
+// regions' gateway nodes. cableDead is a dead-cable set and may be nil
+// (intact network). Each
 // region's gateway set is its up-to-8 highest-degree landing points with
 // coordinates; demand splits evenly across gateway pairs that can reach
 // each other.
@@ -130,17 +130,11 @@ func (r *Report) StrandedFrac() float64 {
 // edge IDs are the flattened segments (cable by cable, in segment order),
 // so a Report indexes segments and graph edges alike.
 //
-// A nil network, one that fails Validate, or a death vector of the wrong
-// length is refused with an error wrapping ErrBadInput.
-func Route(net *topology.Network, demands []Demand, cableDead []bool) (*Report, error) {
-	if net == nil {
-		return nil, fmt.Errorf("%w: nil network", ErrBadInput)
-	}
-	if err := net.Validate(); err != nil {
+// A network or set that topology.ValidateDead refuses (nil or malformed
+// networks, sets that do not fit) is an error wrapping ErrBadInput.
+func Route(net *topology.Network, demands []Demand, cableDead graph.Bitset) (*Report, error) {
+	if err := net.ValidateDead(cableDead); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	if cableDead != nil && len(cableDead) != len(net.Cables) {
-		return nil, fmt.Errorf("%w: death vector length mismatch", ErrBadInput)
 	}
 	gateways := gatewaysByRegion(net)
 	// Each destination region with gateways gets a slot, numbered in
@@ -287,7 +281,7 @@ type search struct {
 	g         *graph.Graph
 	edgeCable []int     // flattened segment -> cable
 	edgeKm    []float64 // flattened segment -> length
-	cableDead []bool
+	cableDead graph.Bitset
 
 	slot   []int32 // node -> destination slot it is a gateway of, or -1
 	slots  int
@@ -308,7 +302,7 @@ type span struct{ start, end int32 }
 
 // newSearch prepares the searches of one Route call; dests[k] lists the
 // gateways of slot k.
-func newSearch(net *topology.Network, cableDead []bool, dests [][]int) *search {
+func newSearch(net *topology.Network, cableDead graph.Bitset, dests [][]int) *search {
 	g := net.Graph()
 	n := g.NumNodes()
 	s := &search{
@@ -388,7 +382,7 @@ func (s *search) run(src int) int32 {
 		}
 		for _, e := range s.g.Incident(graph.NodeID(it.node)) {
 			other := int(s.g.Other(e, graph.NodeID(it.node)))
-			if (s.cableDead != nil && s.cableDead[s.edgeCable[e]]) || s.settled[other] == s.stamp {
+			if (s.cableDead != nil && s.cableDead.Get(s.edgeCable[e])) || s.settled[other] == s.stamp {
 				continue
 			}
 			nd := it.dist + s.edgeKm[e]

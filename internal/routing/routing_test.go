@@ -8,6 +8,7 @@ import (
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 )
 
@@ -69,15 +70,15 @@ func TestRouteIntactNetwork(t *testing.T) {
 
 func TestRouteDeathVectorValidation(t *testing.T) {
 	net := subNet(t)
-	if _, err := Route(net, DefaultDemands(), make([]bool, 3)); err == nil {
-		t.Error("want length mismatch error")
+	if _, err := Route(net, DefaultDemands(), graph.NewBitset(3)); !errors.Is(err, topology.ErrDeadSet) {
+		t.Errorf("err %v, want topology.ErrDeadSet", err)
 	}
 }
 
 // TestRouteRefusesBadInput: a segment naming a node the network does not
 // have used to panic with an index out of range inside gatewaysByRegion.
-// Route refuses it, a nil network and a death vector of the wrong length
-// with ErrBadInput, wrapping the cause.
+// Route refuses it, a nil network and a dead set of the wrong length with
+// ErrBadInput, wrapping the cause.
 func TestRouteRefusesBadInput(t *testing.T) {
 	dangling := &topology.Network{
 		Name: "dangling",
@@ -94,17 +95,15 @@ func TestRouteRefusesBadInput(t *testing.T) {
 	if _, err := Route(nil, DefaultDemands(), nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil network: err %v, want ErrBadInput", err)
 	}
-	if _, err := Route(subNet(t), DefaultDemands(), make([]bool, 3)); !errors.Is(err, ErrBadInput) {
-		t.Errorf("short death vector: err %v, want ErrBadInput", err)
+	if _, err := Route(subNet(t), DefaultDemands(), graph.NewBitset(3)); !errors.Is(err, ErrBadInput) {
+		t.Errorf("short dead set: err %v, want ErrBadInput", err)
 	}
 }
 
 func TestRouteTotalFailureStrandsEverything(t *testing.T) {
 	net := subNet(t)
-	dead := make([]bool, len(net.Cables))
-	for i := range dead {
-		dead[i] = true
-	}
+	dead := graph.NewBitset(len(net.Cables))
+	dead.SetRange(0, len(net.Cables))
 	rep, err := Route(net, DefaultDemands(), dead)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +127,9 @@ func TestNewYorkFailureShiftsLoadWest(t *testing.T) {
 	if len(nyNodes) == 0 {
 		t.Fatal("no NY landing points")
 	}
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	for _, ci := range net.CablesTouching(nyNodes) {
-		dead[ci] = true
+		dead.Set(ci)
 	}
 
 	before, err := Route(net, DefaultDemands(), nil)
@@ -155,8 +154,8 @@ func TestNewYorkFailureShiftsLoadWest(t *testing.T) {
 	}
 	// The biggest gainers must not be NY cables (they are dead).
 	deadNames := map[string]bool{}
-	for ci, d := range dead {
-		if d {
+	for ci := range net.Cables {
+		if dead.Get(ci) {
 			deadNames[net.Cables[ci].Name] = true
 		}
 	}
@@ -231,7 +230,9 @@ func TestRouteSyntheticTriangle(t *testing.T) {
 	if before.SegmentLoad[0] != 1 || before.SegmentLoad[1] != 0 {
 		t.Errorf("intact loads = %v", before.SegmentLoad)
 	}
-	after, err := Route(net, demand, []bool{true, false, false})
+	direct := graph.NewBitset(len(net.Cables))
+	direct.Set(0)
+	after, err := Route(net, demand, direct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
 	"gicnet/internal/gic"
+	"gicnet/internal/graph"
 	"gicnet/internal/grid"
 	"gicnet/internal/partition"
 	"gicnet/internal/recovery"
@@ -118,18 +119,17 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 	}
 
 	// Phase 2 — impact: sample cable deaths using the plan's per-cable
-	// probabilities (powered-off where planned).
-	dead := make([]bool, len(net.Cables))
-	nameToIdx := make(map[string]int, len(net.Cables))
-	for ci := range net.Cables {
-		nameToIdx[net.Cables[ci].Name] = ci
-	}
+	// probabilities (powered-off where planned), one draw per action in
+	// plan order.
+	dead := graph.NewBitset(len(net.Cables))
 	for _, a := range plan.Actions {
 		p := a.DeathOn
 		if cfg.ApplyShutdown && a.PowerOff {
 			p = a.DeathOff
 		}
-		dead[nameToIdx[a.Cable]] = rng.Bool(p)
+		if rng.Bool(p) {
+			dead.Set(a.CableIndex)
+		}
 	}
 
 	// Phase 3 — grid cascade.
@@ -146,11 +146,7 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 		dead = coupled
 		rep.StationsDark = darkCount
 	}
-	for _, d := range dead {
-		if d {
-			rep.CablesDead++
-		}
-	}
+	rep.CablesDead = dead.Count()
 	rep.NodesIsolated = len(net.UnreachableNodes(dead))
 
 	// Phase 4 — partition structure.
@@ -221,9 +217,8 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 
 // regionLoss computes each region's share of landing points that lost all
 // connectivity or were split from the region's dominant partition.
-func regionLoss(net *topology.Network, dead []bool) map[geo.Region]float64 {
-	g := net.Graph()
-	labels, _ := g.Components(net.AliveMask(dead))
+func regionLoss(net *topology.Network, dead graph.Bitset) map[geo.Region]float64 {
+	labels, _ := net.Graph().Components(net.DeadEdgeBitsInto(nil, dead))
 	iso := map[int]bool{}
 	for _, n := range net.UnreachableNodes(dead) {
 		iso[n] = true

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"gicnet/internal/dataset"
+	"gicnet/internal/geo"
 	"gicnet/internal/gic"
+	"gicnet/internal/topology"
 )
 
 func world(t *testing.T) *dataset.World {
@@ -213,5 +215,34 @@ func TestRunAllocationCeiling(t *testing.T) {
 	})
 	if allocs > 59000 {
 		t.Errorf("Run allocates %.0f times per default timeline, ceiling 59000", allocs)
+	}
+}
+
+// TestRunDuplicateCableNames: Network.Validate accepts cables that share a
+// name, so the impact phase must index deaths by cable, not by name. Two
+// 6,000 km cables between 68°N and 72°N both die under a Carrington-class
+// storm whatever they are called.
+func TestRunDuplicateCableNames(t *testing.T) {
+	for _, names := range [][2]string{{"twin", "twin"}, {"east", "west"}} {
+		net := &topology.Network{
+			Name: "twins",
+			Nodes: []topology.Node{
+				{Name: "no-tromso-0", Coord: geo.Coord{Lat: 68, Lon: 16}, HasCoord: true, Country: "no"},
+				{Name: "ru-dikson-0", Coord: geo.Coord{Lat: 72, Lon: 80}, HasCoord: true, Country: "ru"},
+			},
+		}
+		for _, name := range names {
+			net.Cables = append(net.Cables, topology.Cable{Name: name, KnownLength: true,
+				Segments: []topology.Segment{{A: 0, B: 1, LengthKm: 6000}}})
+		}
+		cfg := DefaultConfig()
+		cfg.ApplyShutdown, cfg.GridCoupling = false, false
+		rep, err := Run(&dataset.World{Submarine: net}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CablesDead != 2 || rep.FaultCount != 2 {
+			t.Errorf("cables named %q: %d dead and %d faults, want 2 and 2", names, rep.CablesDead, rep.FaultCount)
+		}
 	}
 }

@@ -55,6 +55,9 @@ func DefaultOptions() Options {
 // Action is the planned handling of one cable.
 type Action struct {
 	Cable string
+	// CableIndex indexes the network's cable list; names need not be
+	// unique.
+	CableIndex int
 	// PowerOff is true if the plan powers the cable down pre-impact.
 	PowerOff bool
 	// DeathOn / DeathOff are the cable death probabilities in each state.
@@ -136,10 +139,11 @@ func PlanShutdown(net *topology.Network, s gic.Storm, opts Options) (*Plan, erro
 			return nil, err
 		}
 		actions = append(actions, Action{
-			Cable:    net.Cables[ci].Name,
-			DeathOn:  on,
-			DeathOff: off,
-			Gain:     on - off,
+			Cable:      net.Cables[ci].Name,
+			CableIndex: ci,
+			DeathOn:    on,
+			DeathOff:   off,
+			Gain:       on - off,
 		})
 	}
 	sort.Slice(actions, func(i, j int) bool { return actions[i].Gain > actions[j].Gain })

@@ -193,10 +193,11 @@ func (n *Network) ContractionCacheStats() (hits, misses uint64) {
 	return n.contractHits, n.contractMisses
 }
 
-// DeadEdgeBitsInto projects per-cable death onto graph edges as a packed
-// bitset: every segment edge of a dead cable is marked dead. It is the
-// bitset form of AliveMaskInto (with inverted polarity) and reuses dst's
-// backing array, so per-worker scratch projects trials without allocating.
+// DeadEdgeBitsInto projects a dead-cable set onto graph edges: every
+// segment edge of a dead cable is marked dead. It is the only cable→edge
+// projection, and it reuses dst's backing array, so per-worker scratch
+// projects trials without allocating. cableDead must fit the network (see
+// ValidateDead).
 func (n *Network) DeadEdgeBitsInto(dst graph.Bitset, cableDead graph.Bitset) graph.Bitset {
 	g := n.Graph()
 	dst = graph.GrowBitset(dst, g.NumEdges())

@@ -135,6 +135,9 @@ var (
 	ErrDuplicateNode   = errors.New("topology: duplicate node name")
 )
 
+// ErrDeadSet reports a dead-cable set that does not fit its network.
+var ErrDeadSet = errors.New("topology: dead-cable set does not fit the network")
+
 // Validate checks structural integrity. It must pass before Graph is used.
 // A successful check is cached (sweeps re-validate per point), under the
 // same contract as the derived-view caches: don't mutate after first use.
@@ -178,6 +181,32 @@ func (n *Network) validate() error {
 	return nil
 }
 
+// ValidateDead checks a network together with a dead-cable set over it:
+// the network passes Validate, and the set is nil (no cable dead) or holds
+// exactly BitsetWords(len(Cables)) words with no bit set at or past
+// len(Cables). A nil network is refused too. The downstream analyses call it before they index cables,
+// segments or graph edges by the set; a stray bit would otherwise index
+// past the cable list in DeadEdgeBitsInto.
+func (n *Network) ValidateDead(cableDead graph.Bitset) error {
+	if n == nil {
+		return errors.New("topology: nil network")
+	}
+	if err := n.Validate(); err != nil {
+		return err
+	}
+	if cableDead == nil {
+		return nil
+	}
+	nc := len(n.Cables)
+	if len(cableDead) != graph.BitsetWords(nc) {
+		return fmt.Errorf("%w: %d words for %d cables", ErrDeadSet, len(cableDead), nc)
+	}
+	if r := uint(nc) & 63; r != 0 && cableDead[len(cableDead)-1]>>r != 0 {
+		return fmt.Errorf("%w: a bit is set past cable %d", ErrDeadSet, nc-1)
+	}
+	return nil
+}
+
 // Graph returns the graph projection of the network: one graph edge per
 // cable segment. The projection is built once and cached (safe for
 // concurrent first use); the network must not be mutated afterwards.
@@ -201,26 +230,6 @@ func (n *Network) Graph() *graph.Graph {
 		n.g = g
 	})
 	return n.g
-}
-
-// AliveMask projects per-cable death onto graph edges: every segment of a
-// dead cable is dead.
-func (n *Network) AliveMask(cableDead []bool) graph.AliveMask {
-	return n.AliveMaskInto(nil, cableDead)
-}
-
-// AliveMaskInto is AliveMask writing into dst (grown if needed), so per-
-// worker scratch can project cable deaths without allocating per trial.
-func (n *Network) AliveMaskInto(dst graph.AliveMask, cableDead []bool) graph.AliveMask {
-	g := n.Graph()
-	if cap(dst) < g.NumEdges() {
-		dst = make(graph.AliveMask, g.NumEdges())
-	}
-	dst = dst[:g.NumEdges()]
-	for e := range dst {
-		dst[e] = !cableDead[n.edgeCable[e]]
-	}
-	return dst
 }
 
 // CableIncidence returns the CSR mapping from each node to its distinct
@@ -276,8 +285,11 @@ func (n *Network) buildIncidence() {
 
 // UnreachableNodes returns the indices of nodes whose incident cables are
 // all dead — the paper's per-node failure criterion (§4.3.1). Nodes that
-// had no cables at all are never counted.
-func (n *Network) UnreachableNodes(cableDead []bool) []int {
+// had no cables at all are never counted; a nil set kills no cable.
+func (n *Network) UnreachableNodes(cableDead graph.Bitset) []int {
+	if cableDead == nil {
+		return nil
+	}
 	start, list := n.CableIncidence()
 	var out []int
 	for i := 0; i < len(n.Nodes); i++ {
@@ -291,13 +303,13 @@ func (n *Network) UnreachableNodes(cableDead []bool) []int {
 
 // nodeAlive reports whether node i has at least one live incident cable.
 // Nodes with no cables at all count as alive: they were never connected.
-func (n *Network) nodeAlive(start, list []int32, i int, cableDead []bool) bool {
+func (n *Network) nodeAlive(start, list []int32, i int, cableDead graph.Bitset) bool {
 	s, e := start[i], start[i+1]
 	if s == e {
 		return true
 	}
 	for _, ci := range list[s:e] {
-		if !cableDead[ci] {
+		if !cableDead.Get(int(ci)) {
 			return true
 		}
 	}
@@ -513,15 +525,16 @@ func (n *Network) NodeIndexByName(name string) int {
 // disconnects the network (increases its connected-component count) —
 // single points of failure in the §5.1 topology-design sense.
 func (n *Network) CriticalCables() []int {
-	g := n.Graph()
-	_, base := g.Components(nil)
-	dead := make([]bool, len(n.Cables))
+	s := n.Graph().NewScratch()
+	base := s.ComponentsBits(nil).Sets()
+	dead := graph.NewBitset(len(n.Cables))
+	var deadEdges graph.Bitset
 	var out []int
 	for ci := range n.Cables {
-		dead[ci] = true
-		_, count := g.Components(n.AliveMask(dead))
-		dead[ci] = false
-		if count > base {
+		dead.Set(ci)
+		deadEdges = n.DeadEdgeBitsInto(deadEdges, dead)
+		dead.Unset(ci)
+		if s.ComponentsBits(deadEdges).Sets() > base {
 			out = append(out, ci)
 		}
 	}

@@ -116,33 +116,66 @@ func TestGraphProjection(t *testing.T) {
 	}
 }
 
-func TestAliveMaskCableDeathKillsAllSegments(t *testing.T) {
-	n := testNetwork()
-	dead := []bool{false, false, true} // kill branched c2
-	mask := n.AliveMask(dead)
-	alive := 0
-	for _, a := range mask {
-		if a {
-			alive++
-		}
+// cables returns a dead-cable set for the test network holding ids.
+func cables(n *Network, ids ...int) graph.Bitset {
+	b := graph.NewBitset(len(n.Cables))
+	for _, ci := range ids {
+		b.Set(ci)
 	}
-	if alive != 2 {
+	return b
+}
+
+func TestDeadEdgeBitsCableDeathKillsAllSegments(t *testing.T) {
+	n := testNetwork()
+	dead := n.DeadEdgeBitsInto(nil, cables(n, 2)) // kill branched c2
+	if alive := n.Graph().NumEdges() - dead.Count(); alive != 2 {
 		t.Errorf("alive segments = %d, want 2 (both c2 segments dead)", alive)
+	}
+	if !dead.Get(2) || !dead.Get(3) {
+		t.Errorf("dead edges %v, want c2's edges 2 and 3", dead)
 	}
 }
 
 func TestUnreachableNodes(t *testing.T) {
 	n := testNetwork()
 	// kill c2: fortaleza and santos lose all cables; miami keeps c1.
-	dead := []bool{false, false, true}
-	got := n.UnreachableNodes(dead)
+	got := n.UnreachableNodes(cables(n, 2))
 	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Errorf("UnreachableNodes = %v, want [3 4]", got)
 	}
 	// lonely node (no cables ever) must not be reported even with all dead
-	got = n.UnreachableNodes([]bool{true, true, true})
+	got = n.UnreachableNodes(cables(n, 0, 1, 2))
 	if len(got) != 5 {
 		t.Errorf("all cables dead: %d unreachable, want 5 (lonely excluded)", len(got))
+	}
+	if got := n.UnreachableNodes(nil); len(got) != 0 {
+		t.Errorf("nil set: %v unreachable, want none", got)
+	}
+}
+
+// TestValidateDead pins the set check every downstream entry point runs:
+// the network's own Validate, then the word count and stray bits.
+func TestValidateDead(t *testing.T) {
+	n := testNetwork()
+	if err := n.ValidateDead(nil); err != nil {
+		t.Errorf("nil set: %v", err)
+	}
+	if err := n.ValidateDead(cables(n, 0, 2)); err != nil {
+		t.Errorf("well-formed set: %v", err)
+	}
+	stray := cables(n)
+	stray.Set(len(n.Cables))
+	for name, dead := range map[string]graph.Bitset{
+		"short": {}, "long": graph.NewBitset(65), "stray bit": stray,
+	} {
+		if err := n.ValidateDead(dead); !errors.Is(err, ErrDeadSet) {
+			t.Errorf("%s set: err %v, want ErrDeadSet", name, err)
+		}
+	}
+	bad := testNetwork()
+	bad.Cables[0].Segments[0].B = 99
+	if err := bad.ValidateDead(nil); !errors.Is(err, ErrDanglingSegment) {
+		t.Errorf("dangling segment: err %v, want ErrDanglingSegment", err)
 	}
 }
 
@@ -361,25 +394,24 @@ func TestDerivedCachesConcurrentFirstUse(t *testing.T) {
 				n.CableBand(ci)
 				n.CableBandByPath(ci)
 			}
-			n.AliveMask(make([]bool, len(n.Cables)))
+			n.DeadEdgeBitsInto(nil, graph.NewBitset(len(n.Cables)))
 		}()
 	}
 	wg.Wait()
 }
 
-func TestAliveMaskInto(t *testing.T) {
+func TestDeadEdgeBitsIntoReusesStorage(t *testing.T) {
 	n := testNetwork()
-	dead := make([]bool, len(n.Cables))
-	dead[0] = true
-	want := n.AliveMask(dead)
-	buf := make([]bool, 0, 16)
-	got := n.AliveMaskInto(buf, dead)
-	if len(got) != len(want) {
-		t.Fatalf("mask length %d, want %d", len(got), len(want))
+	want := n.DeadEdgeBitsInto(nil, cables(n, 0))
+	buf := graph.NewBitset(128)
+	buf.SetRange(0, 128) // stale bits must be cleared
+	got := n.DeadEdgeBitsInto(buf, cables(n, 0))
+	if len(got) != len(want) || &got[0] != &buf[0] {
+		t.Fatalf("projection holds %d words (want %d) in a new array", len(got), len(want))
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("mask[%d] = %v, want %v", i, got[i], want[i])
+	for e := 0; e < n.Graph().NumEdges(); e++ {
+		if got.Get(e) != want.Get(e) || want.Get(e) != (e == 0) {
+			t.Fatalf("edge %d dead = %v, fresh projection %v; only c0's edge 0 is dead", e, got.Get(e), want.Get(e))
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/grid"
 	"gicnet/internal/recovery"
 	"gicnet/internal/routing"
@@ -23,7 +24,7 @@ const downstreamRandomNets = 8
 // containing the one before: an S1 sample, then rounds of extra deaths.
 type downstreamCase struct {
 	net   *topology.Network
-	chain [][]bool
+	chain []graph.Bitset
 	rng   xrand.Source // for the layer's own draws
 }
 
@@ -33,15 +34,18 @@ func downstreamCases(w *dataset.World, seed uint64) ([]downstreamCase, error) {
 	cases := make([]downstreamCase, len(nets))
 	for i, net := range nets {
 		r := root.SplitAt(uint64(1000 + i))
-		dead, err := failure.SampleCableDeaths(net, failure.S1(), 150, &r)
+		plan, err := failure.Compile(net, failure.S1(), 150)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", net.Name, err)
 		}
-		chain := [][]bool{dead}
+		dead := plan.NewDead()
+		plan.SampleDense(dead, &r)
+		chain := []graph.Bitset{dead}
+		nc := len(net.Cables)
 		for round := 0; round < 3; round++ {
-			dead = append([]bool(nil), dead...)
-			for k := 0; k < 1+len(dead)/10; k++ {
-				dead[r.Intn(len(dead))] = true
+			dead = append(graph.Bitset(nil), dead...)
+			for k := 0; k < 1+nc/10; k++ {
+				dead.Set(r.Intn(nc))
 			}
 			chain = append(chain, dead)
 		}
@@ -119,8 +123,8 @@ func gridCascadeSuperset(c *downstreamCase) error {
 		if err != nil {
 			return err
 		}
-		for ci, d := range dead {
-			if d && !out[ci] {
+		for ci := range c.net.Cables {
+			if dead.Get(ci) && !out.Get(ci) {
 				return fmt.Errorf("cable %d dead before the cascade, alive after it", ci)
 			}
 		}
@@ -132,7 +136,7 @@ func gridCascadeSuperset(c *downstreamCase) error {
 // from the intact network through each growing dead set.
 func routingStrandedMonotone(c *downstreamCase) error {
 	prev := 0.0
-	for i, dead := range append([][]bool{nil}, c.chain...) {
+	for i, dead := range append([]graph.Bitset{nil}, c.chain...) {
 		rep, err := routing.Route(c.net, routing.DefaultDemands(), dead)
 		if err != nil {
 			return err

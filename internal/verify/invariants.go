@@ -291,7 +291,7 @@ func nodeIDs(xs []int) []graph.NodeID {
 // checkUnionFindBFSAgreement cross-validates the two connectivity
 // implementations on random graphs: every BFS reachable set must be
 // exactly one union-find component, and the component count from the two
-// algorithms must agree under random edge masks.
+// algorithms must agree under random dead-edge sets.
 func checkUnionFindBFSAgreement(seed uint64) Result {
 	const name = "unionfind-bfs-agreement"
 	rng := xrand.New(seed ^ 0xbf5)
@@ -307,12 +307,14 @@ func checkUnionFindBFSAgreement(seed uint64) Result {
 		for e := 0; e < m; e++ {
 			g.AddEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))) // self-loops allowed
 		}
-		mask := make(graph.AliveMask, g.NumEdges())
-		for e := range mask {
-			mask[e] = r.Bool(0.6)
+		dead := graph.NewBitset(g.NumEdges())
+		for e := 0; e < g.NumEdges(); e++ {
+			if !r.Bool(0.6) {
+				dead.Set(e)
+			}
 		}
 		scratch := g.NewScratch()
-		uf := scratch.Components(mask)
+		uf := scratch.ComponentsBits(dead)
 		// BFS flood fill from every unvisited node; compare against the
 		// union-find labelling.
 		visited := make([]bool, n)
@@ -324,7 +326,7 @@ func checkUnionFindBFSAgreement(seed uint64) Result {
 			}
 			bfsComponents++
 			var err error
-			buf, err = scratch.Reachable(buf[:0], graph.NodeID(start), mask)
+			buf, err = scratch.Reachable(buf[:0], graph.NodeID(start), dead)
 			if err != nil {
 				return fail(name, "graph %d: reachable(%d): %v", gi, start, err)
 			}
@@ -337,7 +339,7 @@ func checkUnionFindBFSAgreement(seed uint64) Result {
 				}
 			}
 		}
-		if ufCount := g.ComponentCount(mask); ufCount != bfsComponents {
+		if _, ufCount := g.Components(dead); ufCount != bfsComponents {
 			return fail(name, "graph %d (n=%d m=%d): union-find sees %d components, BFS sees %d",
 				gi, n, m, ufCount, bfsComponents)
 		}
@@ -346,9 +348,9 @@ func checkUnionFindBFSAgreement(seed uint64) Result {
 }
 
 // checkPlanMatchesDirectPath verifies the compiled fast path against the
-// original model code: the plan's dense sampler must match SampleCableDeaths
-// draw for draw, and the bitset Evaluate must agree with the graph-level
-// Evaluate on both dense- and sparse-sampled realisations.
+// per-cable reference path: the plan's dense sampler must match
+// referenceSample draw for draw, and the bitset Evaluate must agree with
+// referenceEvaluate on both dense- and sparse-sampled realisations.
 func checkPlanMatchesDirectPath(w *dataset.World, seed uint64) Result {
 	const name = "plan-matches-direct-path"
 	const trials = 8
@@ -359,24 +361,23 @@ func checkPlanMatchesDirectPath(w *dataset.World, seed uint64) Result {
 				return fail(name, "compile %s/%s: %v", net.Name, m.Name(), err)
 			}
 			dead := plan.NewDead()
-			bools := make([]bool, plan.NumCables())
 			root := xrand.New(seed ^ 0xe9)
 			for ti := 0; ti < trials; ti++ {
 				rngPlan := root.SplitAt(uint64(ti))
 				rngDirect := root.SplitAt(uint64(ti))
 				plan.SampleDense(dead, &rngPlan)
-				direct, err := failure.SampleCableDeaths(net, m, 150, &rngDirect)
+				direct, err := referenceSample(net, m, 150, &rngDirect)
 				if err != nil {
 					return fail(name, "sample %s/%s: %v", net.Name, m.Name(), err)
 				}
-				for ci := range direct {
-					if dead.Get(ci) != direct[ci] {
+				for ci := range net.Cables {
+					if dead.Get(ci) != direct.Get(ci) {
 						return fail(name, "%s/%s trial %d: plan and direct sampling disagree on cable %d",
 							net.Name, m.Name(), ti, ci)
 					}
 				}
 				po := plan.Evaluate(dead)
-				fo := failure.Evaluate(net, direct)
+				fo := referenceEvaluate(net, direct)
 				if po != fo {
 					return fail(name, "%s/%s trial %d: plan outcome %+v != direct outcome %+v",
 						net.Name, m.Name(), ti, po, fo)
@@ -385,8 +386,7 @@ func checkPlanMatchesDirectPath(w *dataset.World, seed uint64) Result {
 				// realisations must still evaluate identically on both paths.
 				rngSparse := root.SplitAt(uint64(ti) ^ 0x5a)
 				plan.SampleInto(dead, &rngSparse)
-				dead.Expand(bools)
-				if po, fo := plan.Evaluate(dead), failure.Evaluate(net, bools); po != fo {
+				if po, fo := plan.Evaluate(dead), referenceEvaluate(net, dead); po != fo {
 					return fail(name, "%s/%s trial %d: sparse realisation: plan outcome %+v != direct outcome %+v",
 						net.Name, m.Name(), ti, po, fo)
 				}
