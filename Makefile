@@ -25,9 +25,10 @@ test: build
 # The trial engine with no assembly in play: on a host that selects the
 # vector kernels, the Go loops they fall back to (and are held to) would
 # otherwise never run under test. `purego` swaps in the pure-Go dispatch
-# files of internal/graph and internal/xrand.
+# files of internal/graph and internal/xrand: the dense Bernoulli draws
+# and the bootstrap's index draws (IntnInto, behind internal/stats).
 test-purego:
-	$(GO) test -tags purego ./internal/xrand/... ./internal/failure/... ./internal/sim/... ./internal/rare/...
+	$(GO) test -tags purego ./internal/xrand/... ./internal/failure/... ./internal/sim/... ./internal/rare/... ./internal/stats/...
 
 # Formatting gate: fails, listing the files, when any file is not gofmt-clean.
 fmt:
@@ -66,8 +67,9 @@ loadtest-smoke:
 
 # Cross-compile gate: the assembly kernels ship their build variants —
 # the bitset popcount as AVX2 amd64 assembly, NEON arm64 assembly and a
-# pure-Go fallback; the dense Bernoulli draws (internal/xrand) as AVX-512
-# amd64 assembly and a pure-Go fallback (arm64 and purego); the CPUID and
+# pure-Go fallback; the dense Bernoulli draws and the bootstrap's index
+# draws (internal/xrand) as AVX-512 amd64 assembly and pure-Go fallbacks
+# (arm64 and purego); the CPUID and
 # XGETBV probes (internal/cpuid) as amd64 assembly only — and all of them
 # must always compile, whatever machine the PR was written on. Vetting the
 # amd64 packages and the purego variants runs vet's asmdecl check on every
@@ -93,8 +95,10 @@ update-golden:
 
 # Short fuzz runs over the network-JSON parser, the failure-plan compiler,
 # the tilted sampler, the integer sampler (against its float form on
-# rounding-edge probabilities), the dense-draw kernel (against the Go loop,
-# stream state included), the core-contraction connectivity engine, the
+# rounding-edge probabilities, group breakpoints and raw-draw prefixes),
+# the dense-draw kernel (against the Go loop, stream state included), the
+# bootstrap index draws (against the scalar Intn loop, stream state
+# included), the core-contraction connectivity engine, the
 # bitset kernel primitives (assembly vs reference semantics), the cross-layer index (its AS
 # attachment against the all-pairs scan), the repair scheduler (against
 # its rescan reference), the nearest-point screen (against a
@@ -107,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTiltedSampler$$' -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleThresholds$$' -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run '^$$' -fuzz '^FuzzBelowInto$$' -fuzztime $(FUZZTIME) ./internal/xrand
+	$(GO) test -run '^$$' -fuzz '^FuzzIntnInto$$' -fuzztime $(FUZZTIME) ./internal/xrand
 	$(GO) test -run '^$$' -fuzz '^FuzzSobol$$' -fuzztime $(FUZZTIME) ./internal/rare
 	$(GO) test -run '^$$' -fuzz '^FuzzCoreContraction$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsetKernels$$' -fuzztime $(FUZZTIME) ./internal/graph

@@ -794,6 +794,22 @@ func BenchmarkTailEstimate(b *testing.B) {
 	}
 }
 
+// BenchmarkExtTail is the rare-event tail experiment at the perfbench
+// `figures` budget (8,192 trials per point and estimator), cycling seeds
+// 2 to 6: plain Monte Carlo and tilted QMC sweeps of seven points each,
+// every point with a 200-resample bootstrap interval.
+func BenchmarkExtTail(b *testing.B) {
+	w := benchWorld(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := experiments.Config{Trials: 8192, Seed: uint64(2 + i%5)}
+		if _, err := experiments.ExtTail(ctx, w, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchNodeIDs(xs []int) []graph.NodeID {
 	out := make([]graph.NodeID, len(xs))
 	for i, x := range xs {

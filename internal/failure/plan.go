@@ -28,6 +28,7 @@ type sampleGroup struct {
 	pmax    float64
 	invLogq float64    // 1 / log1p(-pmax): turns a uniform draw into a skip
 	skips   *skipTable // the envelope's skip table; nil beyond maxTableExp
+	first   uint64     // firstBreakpoint: a first draw below it ends the group
 	start   int
 	end     int
 }
@@ -180,10 +181,10 @@ func envExp(prob float64) int {
 // distributions of the importance-sampling layer, which compile the same
 // program over a reweighted vector.
 //
-// Each decision is stored as an xrand.Threshold, which the pseudo-random
-// sampler compares raw draws against. The float sampler behind
-// SampleIntoU reads the probability vector the program was compiled from
-// instead; the two forms decide identically on every 53-bit draw.
+// Each decision is stored as an xrand.Threshold, which the sampler
+// compares raw draws against; the float reference in reference_test.go
+// reads the probability vector the program was compiled from instead, and
+// the two forms decide identically on every 53-bit draw.
 //
 // The dense cables are laid out by bitset word, as xrand.BelowInto takes
 // them: one entry per 64-cable word holding dense cables (its index, its
@@ -269,6 +270,7 @@ func (sp *samplerProgram) compile(probs []float64) {
 			pmax:    pmax,
 			invLogq: invLogq,
 			skips:   skipTables.get(e),
+			first:   firstBreakpoint(e, int(counts[e])),
 			start:   int(offs[e]),
 			end:     int(offs[e] + counts[e]),
 		})
@@ -281,26 +283,79 @@ func (sp *samplerProgram) compile(probs []float64) {
 // thinning each hit down to the cable's exact probability. Bits already
 // set in dead are left alone.
 //
-// It draws and decides exactly as the float sampler (sampleIntoU) does on
-// the same stream, with integer work only: a Bernoulli draw is a borrow
-// compare against the cable's threshold, and a skip is a lookup in the
-// envelope's skip table (math.Log only for envelopes beyond the tables).
-// The dense draws run through xrand.BelowInto, a vector kernel on hosts
-// that have one, which decides every cable as one Below call would.
+// The draws are raw 64-bit words: head's first, then rng's, which is left
+// past the draws it served. A Bernoulli draw is a borrow compare against
+// the cable's threshold, and a skip is a lookup in the envelope's skip
+// table (math.Log only for envelopes beyond the tables), so it decides
+// every draw on the 53-bit grid as the float reference in
+// reference_test.go does (FuzzSampleThresholds, TestSkipTablesMatchLog).
+// Without a head the dense draws run through xrand.BelowInto, a vector
+// kernel on hosts that have one; a head is not counter-based, so a trial
+// with one decides its dense cables in the Go loop.
 //
 //gicnet:hotpath
-func (sp *samplerProgram) sampleInto(dead graph.Bitset, rng *xrand.Source) {
-	rng.BelowInto(dead, sp.denseWords, sp.denseThr)
+func (sp *samplerProgram) sampleInto(dead graph.Bitset, head []uint64, rng *xrand.Source) {
+	k := 0
+	if len(head) == 0 {
+		rng.BelowInto(dead, sp.denseWords, sp.denseThr)
+	} else {
+		k, *rng = sp.denseLoop(dead, head, *rng)
+	}
+	*rng = sp.walk(dead, head, k, *rng)
+}
+
+// draw returns a trial's next raw draw: head[k] while the head lasts, then
+// src's. It takes and returns the cursor (k, src) by value, so a loop
+// stepping it keeps both in registers.
+//
+//gicnet:hotpath
+func draw(head []uint64, k int, src xrand.Source) (uint64, int, xrand.Source) {
+	if k < len(head) {
+		return head[k], k + 1, src
+	}
+	z, src := src.Next()
+	return z, k, src
+}
+
+// denseLoop decides the dense cables one draw each, in layout order, as
+// xrand.BelowInto's Go loop does, and returns the draw cursor past them.
+//
+//gicnet:hotpath
+func (sp *samplerProgram) denseLoop(dead graph.Bitset, head []uint64, src xrand.Source) (int, xrand.Source) {
+	k, t := 0, 0
+	for _, w := range sp.denseWords {
+		var hit uint64
+		for m := w.Mask; m != 0; m &= m - 1 {
+			var z uint64
+			z, k, src = draw(head, k, src)
+			_, below := bits.Sub64(z, sp.denseThr[t], 0)
+			hit |= below << uint(bits.TrailingZeros64(m))
+			t++
+		}
+		dead[w.Word] |= hit
+	}
+	return k, src
+}
+
+// walk runs the sparse groups from draw cursor (k, src) and returns the
+// stream past the draws the walk took. A group's first draw below the
+// group's breakpoint skips past its last cable, so it ends the group after
+// one compare; that compare also ends it on the draw 0, whose log is -Inf.
+//
+//gicnet:hotpath
+func (sp *samplerProgram) walk(dead graph.Bitset, head []uint64, k int, src xrand.Source) xrand.Source {
 	for gi := range sp.groups {
 		g := &sp.groups[gi]
+		var z uint64
+		z, k, src = draw(head, k, src)
+		m := z >> 11 // the 53-bit draw behind Float64
+		if m < g.first {
+			continue
+		}
 		cables := sp.groupCables[g.start:g.end]
 		thrs := sp.groupThr[g.start:g.end]
 		i := 0
 		for {
-			m := rng.Uint64() >> 11 // the 53-bit draw behind Float64
-			if m == 0 {
-				break // log(0) = -Inf: the skip overshoots any group
-			}
 			left := len(cables) - i
 			if g.skips != nil {
 				skip := g.skips.skip(m)
@@ -321,11 +376,18 @@ func (sp *samplerProgram) sampleInto(dead graph.Bitset, rng *xrand.Source) {
 			if th := thrs[i]; th == certain {
 				dead[c>>6] |= 1 << (c & 63)
 			} else {
-				dead[c>>6] |= rng.Below(th) << (c & 63)
+				z, k, src = draw(head, k, src)
+				_, below := bits.Sub64(z, th, 0)
+				dead[c>>6] |= below << (c & 63)
 			}
 			i++
+			z, k, src = draw(head, k, src)
+			if m = z >> 11; m == 0 {
+				break // log(0) = -Inf: the skip overshoots any group
+			}
 		}
 	}
+	return src
 }
 
 // buildSampler turns deathProb into the sampling program plus the plan's
@@ -464,7 +526,7 @@ func (p *Plan) Contraction() *graph.CoreContraction {
 //gicnet:hotpath
 func (p *Plan) SampleInto(dead graph.Bitset, rng *xrand.Source) {
 	dead.CopyFrom(p.baseDead)
-	p.prog.sampleInto(dead, rng)
+	p.prog.sampleInto(dead, nil, rng)
 }
 
 // SampleDense draws one realisation with one Bernoulli decision per cable
@@ -652,6 +714,10 @@ func (sp *samplerProgram) validate(probs []float64, base graph.Bitset) error {
 			return fmt.Errorf("sparse group %d has envelope %v, invLogq %v and the wrong skip table",
 				gi, g.pmax, g.invLogq)
 		}
+		if !breakpointHolds(g.first, g.invLogq, g.end-g.start) {
+			return fmt.Errorf("sparse group %d of %d cables under envelope %v has breakpoint %d, not the first draw whose skip lands inside it",
+				gi, g.end-g.start, g.pmax, g.first)
+		}
 		for k := g.start; k < g.end; k++ {
 			ci := sp.groupCables[k]
 			seen[ci]++
@@ -718,6 +784,16 @@ func (sp *samplerProgram) validateDense(probs []float64, seen []int) error {
 		return fmt.Errorf("dense layout holds %d cables and %d thresholds", k, n)
 	}
 	return nil
+}
+
+// breakpointHolds reports whether b is the breakpoint of a group of
+// length cables: K(b-1) >= length > K(b), the draw 0 (log -Inf) counting
+// as a skip past every group and 2^53 (log 0) as a skip of 0.
+func breakpointHolds(b uint64, invLogq float64, length int) bool {
+	if b < 1 || b > 1<<53 || skipReaches(b, invLogq, length) {
+		return false
+	}
+	return b == 1 || skipReaches(b-1, invLogq, length)
 }
 
 // thresholdDecides reports whether t decides the event Float64() < p

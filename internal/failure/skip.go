@@ -85,30 +85,58 @@ func skipOfDraw(m uint64, invLogq float64) int {
 	return int(skipOf(float64(m)/(1<<53), invLogq))
 }
 
-// buildSkipTable tabulates envelope e. Breakpoint j (the first draw whose
-// skip is below j) is seeded from the closed form 2^53·(1-pmax)^j and
-// settled against skipOf itself, so the table holds math.Log's own steps:
-// the closed form lands within a few draws of each, and the settle walk
-// needs only a few evaluations.
+// skipReaches reports K(m) >= j, compared in float space, where a deep
+// envelope's skip can exceed int range: floor(x) >= j exactly when x >= j.
+func skipReaches(m uint64, invLogq float64, j int) bool {
+	return skipOf(float64(m)/(1<<53), invLogq) >= float64(j)
+}
+
+// breakpoint returns breakpoint j of an envelope, the first draw m in
+// [1, 2^53] whose skip K(m) is below j. It is seeded from the closed form
+// 2^53·(1-pmax)^j and settled against skipOf itself, so it is math.Log's
+// own step: the closed form lands within a few draws of it, and the
+// settle walk needs only a few evaluations. 2^53, past every draw, means
+// that no draw's skip is below j.
+func breakpoint(j int, pmax, invLogq float64) uint64 {
+	b := uint64(math.Ldexp(math.Pow(1-pmax, float64(j)), 53))
+	if b < 1 {
+		b = 1
+	}
+	if b > 1<<53-1 {
+		b = 1<<53 - 1
+	}
+	for skipReaches(b, invLogq, j) {
+		b++
+	}
+	for b > 1 && !skipReaches(b-1, invLogq, j) {
+		b--
+	}
+	return b
+}
+
+// firstBreakpoint returns the breakpoint of a group of length cables
+// under envelope e: the first draw whose skip lands inside the group. A
+// first draw below it ends the group with no candidate. The tabulated
+// envelopes read it off their table; a group longer than every finite
+// skip (K(1) < length) is entered by every draw but 0.
+func firstBreakpoint(e, length int) uint64 {
+	if t := skipTables.get(e); t != nil {
+		if length > t.n {
+			return 1
+		}
+		return t.bps[t.n-length]
+	}
+	pmax, invLogq := envelope(e)
+	return breakpoint(length, pmax, invLogq)
+}
+
+// buildSkipTable tabulates envelope e, breakpoint by breakpoint.
 func buildSkipTable(e int) *skipTable {
 	pmax, invLogq := envelope(e)
 	n := skipOfDraw(1, invLogq)
 	t := &skipTable{k: e, n: n, bps: make([]uint64, n+2)}
 	for j := 1; j <= n; j++ {
-		b := uint64(math.Ldexp(math.Pow(1-pmax, float64(j)), 53))
-		if b < 1 {
-			b = 1
-		}
-		if b > 1<<53-1 {
-			b = 1<<53 - 1
-		}
-		for skipOfDraw(b, invLogq) >= j {
-			b++
-		}
-		for b > 1 && skipOfDraw(b-1, invLogq) < j {
-			b--
-		}
-		t.bps[n-j] = b
+		t.bps[n-j] = breakpoint(j, pmax, invLogq)
 	}
 	t.bps[n], t.bps[n+1] = 1<<53, 1<<53
 

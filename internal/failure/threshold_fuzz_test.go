@@ -173,6 +173,13 @@ func twinStreams(sp *samplerProgram, probs []float64, seed uint64) []xrand.Sourc
 			out = append(out, streamWithDraw((b-1)<<11|low(), d), streamWithDraw(b<<11|low(), d))
 		}
 	}
+	// The group's breakpoint: the last first draw that ends it at once
+	// and the first two that enter it.
+	for _, m := range []uint64{g.first - 1, g.first, g.first + 1} {
+		if m < 1<<53 {
+			out = append(out, streamWithDraw(m<<11|low(), d))
+		}
+	}
 	// Thinning: search the dropped low bits of the crafted draw for a
 	// stream whose skip draw lands on the bucket's first cable.
 	pr := probs[sp.groupCables[g.start]]
@@ -244,13 +251,82 @@ func sameAsFloatTilted(t *testing.T, ts *TiltedSampler, streams []xrand.Source) 
 	}
 }
 
+// prefixCases returns raw-draw prefixes for a program: for each sparse
+// group, prefixes whose dense draws are random, whose earlier groups each
+// end on their first draw (one below the breakpoint) and whose draw for
+// the group's first is one below its breakpoint, on it or one above,
+// followed by a few random draws; and random prefixes of up to 40 draws,
+// half with Sobol-like zero low 32 bits.
+func prefixCases(sp *samplerProgram, seed uint64) [][]uint64 {
+	rng := xrand.New(seed ^ 0x70726566)
+	var out [][]uint64
+	dense := sp.denseLen()
+	for gi := range sp.groups {
+		for _, delta := range []int64{-1, 0, 1} {
+			var prefix []uint64
+			for k := 0; k < dense; k++ {
+				prefix = append(prefix, rng.Uint64())
+			}
+			for _, g := range sp.groups[:gi] {
+				prefix = append(prefix, (g.first-1)<<11|rng.Uint64()&(1<<11-1))
+			}
+			m := uint64(int64(sp.groups[gi].first) + delta)
+			if m >= 1<<53 {
+				m = 1<<53 - 1
+			}
+			prefix = append(prefix, m<<11|rng.Uint64()&(1<<11-1))
+			for k := rng.Intn(8); k > 0; k-- {
+				prefix = append(prefix, rng.Uint64())
+			}
+			out = append(out, prefix)
+		}
+	}
+	for n := 0; n < 8; n++ {
+		prefix := make([]uint64, rng.Intn(41))
+		for k := range prefix {
+			prefix[k] = rng.Uint64()
+			if n%2 == 0 {
+				prefix[k] &^= 1<<32 - 1
+			}
+		}
+		out = append(out, prefix)
+	}
+	return out
+}
+
+// samePrefixAsFloat compares TiltedSampler.SampleIntoPrefix against the
+// float reference on the same draws: each prefix followed by a split
+// stream, read as Float64 reads raw draws. Realisation, weight and the
+// stream's final state must agree.
+func samePrefixAsFloat(t *testing.T, ts *TiltedSampler, prefixes [][]uint64, seed uint64) {
+	t.Helper()
+	root := xrand.New(seed ^ 0x68656164)
+	a, b := ts.Plan().NewDead(), ts.Plan().NewDead()
+	for pi, prefix := range prefixes {
+		ra := root.SplitAt(uint64(pi))
+		ps := prefixStream{prefix: prefix, src: ra}
+		wa := ts.SampleIntoPrefix(a, prefix, &ra)
+		wb := ts.SampleIntoU(b, &ps)
+		//gicnet:allow floatcmp both paths price the same realisation through LogWeight
+		if !bitsetEq(a, b) || wa != wb {
+			t.Fatalf("prefix %d (%d draws): SampleIntoPrefix differs from the float reference (weights %v, %v)",
+				pi, len(prefix), wa, wb)
+		}
+		if ra != ps.src {
+			t.Fatalf("prefix %d (%d draws): SampleIntoPrefix left the stream elsewhere than the float reference", pi, len(prefix))
+		}
+	}
+}
+
 // FuzzSampleThresholds holds the integer sampler to the float one. On
 // random probability vectors seeded with the rounding edges (exact powers
 // of two and one ulp either side, 1-2^-53, the tilt clamps, subnormals),
 // Plan.SampleInto and TiltedSampler.SampleInto must produce the
 // realisation SampleIntoU produces on the same xrand stream, leave the
 // stream in the same state, and compile to programs whose every threshold
-// Validate accepts.
+// and breakpoint Validate accepts; streams put draws on both sides of
+// each group's breakpoint, and SampleIntoPrefix is held to the reference
+// on raw-draw prefixes followed by a stream.
 func FuzzSampleThresholds(f *testing.F) {
 	// One vector per tabulated envelope, large enough that the bucket
 	// reaches every breakpoint of 2^-2 to 2^-4 and most of 2^-5, then the
@@ -273,6 +349,11 @@ func FuzzSampleThresholds(f *testing.F) {
 			t.Fatalf("plan: %v", err)
 		}
 		sameAsFloat(t, plan, twinStreams(&plan.prog, plan.deathProb, seed))
+		own, err := NewTiltedSampler(plan, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePrefixAsFloat(t, own, prefixCases(&own.prog, seed), seed)
 
 		if !(lambda > 0) || lambda > 1e12 {
 			lambda = 1
@@ -285,7 +366,52 @@ func FuzzSampleThresholds(f *testing.F) {
 			t.Fatalf("tilted sampler: %v", err)
 		}
 		sameAsFloatTilted(t, ts, twinStreams(&ts.prog, ts.qProb, seed+1))
+		samePrefixAsFloat(t, ts, prefixCases(&ts.prog, seed+1), seed+1)
 	})
+}
+
+// TestGroupBreakpoints checks firstBreakpoint for every envelope from
+// 2^-2 to 2^-64 and every group length up to 4,200 (past the longest
+// finite skip of every tabulated envelope and the submarine and ITU
+// groups' sizes): B = firstBreakpoint(e, L) satisfies K(B-1) >= L > K(B),
+// so a first draw below B is exactly one whose skip passes the group's
+// last cable.
+func TestGroupBreakpoints(t *testing.T) {
+	for e := minSparseExp; e <= maxSparseExp; e++ {
+		_, invLogq := envelope(e)
+		for length := 1; length <= 4200; length++ {
+			b := firstBreakpoint(e, length)
+			if !breakpointHolds(b, invLogq, length) {
+				t.Fatalf("envelope 2^-%d, %d cables: breakpoint %d, skips K(B-1) = %v and K(B) = %v",
+					e, length, b, skipOf(float64(b-1)/(1<<53), invLogq), skipOf(float64(b)/(1<<53), invLogq))
+			}
+		}
+	}
+}
+
+// TestValidateChecksBreakpoints moves a group's breakpoint one draw
+// either way and requires Validate to notice.
+func TestValidateChecksBreakpoints(t *testing.T) {
+	probs := make([]float64, 40)
+	for i := range probs {
+		probs[i] = 0.003 + 1e-5*float64(i) // envelope 2^-8
+	}
+	plan, err := compileProbs(probsNetwork(len(probs)), probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &plan.prog.groups[0]
+	saved := g.first
+	for _, b := range []uint64{saved - 1, saved + 1} {
+		g.first = b
+		if plan.Validate() == nil {
+			t.Errorf("Validate accepted breakpoint %d (compiled %d)", b, saved)
+		}
+	}
+	g.first = saved
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestValidateChecksThresholds tampers with each kind of stored threshold

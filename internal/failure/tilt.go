@@ -107,6 +107,27 @@ func NewTiltedSampler(plan *Plan, lambda float64) (*TiltedSampler, error) {
 	return t, nil
 }
 
+// Draws returns a conservative upper bound on how many draws one trial of
+// the tilted program consumes in expectation: one per dense cable plus two
+// per expected sparse-bucket hit plus one terminating draw per bucket. The
+// quasi-Monte Carlo estimators size a trial's low-discrepancy prefix by it.
+func (t *TiltedSampler) Draws() int { return t.prog.expectedDraws(t.qProb) }
+
+// expectedDraws is Draws for the program compiled over probs.
+func (sp *samplerProgram) expectedDraws(probs []float64) int {
+	draws := float64(sp.denseLen() + len(sp.groups))
+	for gi := range sp.groups {
+		g := &sp.groups[gi]
+		for _, ci := range sp.groupCables[g.start:g.end] {
+			draws += 2 * probs[ci] / g.pmax
+		}
+	}
+	if draws > 1<<20 {
+		return 1 << 20
+	}
+	return int(math.Ceil(draws))
+}
+
 // Plan returns the plan whose distribution the sampler tilts.
 func (t *TiltedSampler) Plan() *Plan { return t.plan }
 
@@ -125,8 +146,18 @@ func (t *TiltedSampler) TiltedProb(ci int) float64 { return t.qProb[ci] }
 //
 //gicnet:hotpath
 func (t *TiltedSampler) SampleInto(dead graph.Bitset, rng *xrand.Source) float64 {
+	return t.SampleIntoPrefix(dead, nil, rng)
+}
+
+// SampleIntoPrefix is SampleInto reading its first raw draws from prefix
+// and the rest from rng, which it leaves past the draws it served: the
+// quasi-Monte Carlo estimators put a trial's scrambled Sobol coordinates
+// in prefix. A draw is what Uint64 returns, decided on its top 53 bits.
+//
+//gicnet:hotpath
+func (t *TiltedSampler) SampleIntoPrefix(dead graph.Bitset, prefix []uint64, rng *xrand.Source) float64 {
 	dead.CopyFrom(t.plan.baseDead)
-	t.prog.sampleInto(dead, rng)
+	t.prog.sampleInto(dead, prefix, rng)
 	return t.LogWeight(dead)
 }
 

@@ -14,7 +14,9 @@ import (
 // every sampled realisation prices to a finite log likelihood ratio that
 // matches a dense recomputation from the probability vectors; and at
 // lambda = 1 the sampler is the plain sampler with every weight exactly
-// zero in log space.
+// zero in log space. The integer program is held to the float reference
+// on every trial stream and on raw-draw prefixes, including draws on
+// both sides of each group's breakpoint.
 func FuzzTiltedSampler(f *testing.F) {
 	f.Add(uint64(1), 8, 12, 150.0, 0.01, 4.0)
 	f.Add(uint64(1859), 32, 48, 50.0, 0.5, 0.1)
@@ -43,6 +45,12 @@ func FuzzTiltedSampler(f *testing.F) {
 			t.Fatalf("validate: %v", err)
 		}
 		root := xrand.New(seed ^ 0x746c6974)
+		var streams []xrand.Source
+		for trial := uint64(0); trial < 16; trial++ {
+			streams = append(streams, root.SplitAt(trial))
+		}
+		sameAsFloatTilted(t, ts, streams)
+		samePrefixAsFloat(t, ts, prefixCases(&ts.prog, seed), seed)
 		dead := plan.NewDead()
 		for trial := uint64(0); trial < 16; trial++ {
 			rng := root.SplitAt(trial)

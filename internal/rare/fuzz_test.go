@@ -34,7 +34,7 @@ func FuzzSobol(f *testing.F) {
 			hit[d] = make([]bool, size)
 		}
 		for i := uint32(0); i < size; i++ {
-			s.Point(block*size+i, pt)
+			point(&s, block*size+i, pt)
 			for d := 0; d < dims; d++ {
 				if !(pt[d] >= 0 && pt[d] < 1) {
 					t.Fatalf("block %d point %d dim %d: coordinate %v outside [0,1)", block, i, d, pt[d])

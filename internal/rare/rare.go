@@ -47,9 +47,8 @@ type Estimator struct {
 	// (P(deaths >= T)) rather than the leading rare-event order.
 	Target float64
 
-	mu      sync.Mutex
-	cache   map[*failure.Plan]*compiled
-	streams []*pointStream // idle QMC point streams, reused block after block
+	mu    sync.Mutex
+	cache map[*failure.Plan]*compiled
 }
 
 // NewIS returns an importance-sampling estimator. lambda <= 0 selects the
@@ -151,77 +150,36 @@ func (e *Estimator) ResolvedLambda(plan *failure.Plan) float64 {
 
 // SampleBlock implements sim.Estimator: trials t0..t0+n-1 into the
 // scratch rows, log likelihood ratios into logw[:n]. Trial t0+b draws
-// from the tilted program; without QMC its uniforms come from
+// from the tilted program; without QMC its draws come from
 // root.SplitAt(t0+b) — the same per-trial stream as the plain path — and
-// with QMC the first draws come from Sobol point number t0+b (scramble
-// keys split from root at sobolKeySalt) with the per-trial stream serving
-// any overflow draws. Either way the realisation is a pure function of
-// (root, trial index), so results are independent of worker count and
-// block boundaries.
+// with QMC the first draws are the scrambled coordinates of Sobol point
+// number t0+b (scramble keys split from root at sobolKeySalt) with the
+// per-trial stream serving any overflow draws. Either way the realisation
+// is a pure function of (root, trial index), so results are independent
+// of worker count and block boundaries. The block's points are one
+// cursor, stepped from trial to trial by sobolCursor.advance.
 func (e *Estimator) SampleBlock(plan *failure.Plan, s *failure.BatchScratch, root *xrand.Source, t0 uint64, n int, logw []float64) {
 	c := e.compiledFor(plan)
 	if !e.QMC {
 		c.tilt.SampleBatch(s, root, t0, n, logw)
 		return
 	}
-	key := root.SplitAt(sobolKeySalt)
-	sob, err := NewSobol(c.dims, key)
+	sob, err := NewSobol(c.dims, root.SplitAt(sobolKeySalt))
 	if err != nil {
 		panic(fmt.Sprintf("rare: sobol construction: %v", err))
 	}
-	ps := e.acquireStream()
-	defer e.releaseStream(ps)
-	ps.prefix = ps.buf[:c.dims]
+	var cur sobolCursor
+	var prefix [SobolMaxDims]uint64
+	head := prefix[:c.dims]
+	cur.seek(uint32(t0), c.dims)
 	for b := 0; b < n; b++ {
-		trial := t0 + uint64(b)
-		sob.Point(uint32(trial), ps.prefix)
-		ps.i = 0
-		ps.tail = root.SplitAt(trial)
-		logw[b] = c.tilt.SampleIntoU(s.Row(b), ps)
+		if b > 0 {
+			cur.advance(c.dims)
+		}
+		sob.draws(&cur, head)
+		rng := root.SplitAt(t0 + uint64(b))
+		logw[b] = c.tilt.SampleIntoPrefix(s.Row(b), head, &rng)
 	}
-}
-
-// acquireStream returns an idle point stream, or a new one when every
-// stream is in use by a concurrent block. The sampler reaches a stream
-// through the failure.Uniforms interface, which moves it to the heap, so
-// blocks reuse streams instead of allocating one each: the estimator
-// ends up holding one per worker that has sampled through it.
-func (e *Estimator) acquireStream() *pointStream {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.streams); n > 0 {
-		ps := e.streams[n-1]
-		e.streams = e.streams[:n-1]
-		return ps
-	}
-	return new(pointStream)
-}
-
-// releaseStream returns a stream acquireStream handed out.
-func (e *Estimator) releaseStream(ps *pointStream) {
-	e.mu.Lock()
-	e.streams = append(e.streams, ps)
-	e.mu.Unlock()
-}
-
-// pointStream serves one trial's uniforms: the low-discrepancy Sobol
-// coordinates first, then the trial's pseudo-random stream for however
-// many more draws the sampling program wants. It implements
-// failure.Uniforms.
-type pointStream struct {
-	buf    [SobolMaxDims]float64 // backs prefix
-	prefix []float64
-	i      int
-	tail   xrand.Source
-}
-
-func (ps *pointStream) Float64() float64 {
-	if ps.i < len(ps.prefix) {
-		v := ps.prefix[ps.i]
-		ps.i++
-		return v
-	}
-	return ps.tail.Float64()
 }
 
 // ExpectedDeaths returns mu, the expected number of cable deaths among

@@ -8,10 +8,10 @@ import (
 )
 
 // SobolMaxDims is the number of dimensions the embedded direction-number
-// table supports. Trials that consume more uniforms than this pad the
-// remaining draws with a pseudo-random tail (see pointStream), which is
-// the standard hybrid for variable-dimension integrands: the first draws
-// of a trial decide the bulk of the variance, so they get the
+// table supports. Trials that consume more draws than this pad the
+// remaining draws with a pseudo-random tail (see Estimator.SampleBlock),
+// which is the standard hybrid for variable-dimension integrands: the
+// first draws of a trial decide the bulk of the variance, so they get the
 // low-discrepancy treatment.
 const SobolMaxDims = 32
 
@@ -64,6 +64,14 @@ var sobolSpec = [SobolMaxDims - 1]struct {
 //	v_k = v_{k-s} ^ (v_{k-s} >> s) ^ a_1 v_{k-1} ^ ... ^ a_{s-1} v_{k-s+1}.
 var sobolDirs [SobolMaxDims][32]uint32
 
+// sobolSteps are the direction numbers' prefix XORs, dimension-major and
+// bit-reversed: sobolSteps[d][c] = Reverse32(v_0 ^ ... ^ v_c), which is
+// sobolRaw(d, 2^(c+1) - 1) reversed. Going from index t to t+1 flips bits
+// 0..c of t, c being the number of trailing ones of t, and sobolRaw is
+// linear over GF(2) in the index bits, so raw(t+1) = raw(t) ^ (v_0 ^ ...
+// ^ v_c), and bit reversal commutes with XOR (see sobolCursor.advance).
+var sobolSteps [SobolMaxDims][32]uint32
+
 func init() {
 	// Dimension 1: van der Corput, v_k = 2^(32-k).
 	for k := 0; k < 32; k++ {
@@ -86,6 +94,13 @@ func init() {
 			v[k] = x
 		}
 	}
+	for d := range sobolDirs {
+		acc := uint32(0)
+		for k, v := range sobolDirs[d] {
+			acc ^= v
+			sobolSteps[d][k] = bits.Reverse32(acc)
+		}
+	}
 }
 
 // sobolRaw returns the unscrambled 32-bit integer coordinate of point
@@ -105,20 +120,22 @@ func sobolRaw(d int, index uint32) uint32 {
 	return x
 }
 
-// owenScramble applies a hash-based Owen (nested uniform) scramble to one
-// 32-bit coordinate. The hash operates in bit-reversed space where every
-// operation (carry-propagating add, XOR with an even multiple of the
-// input) only moves information from lower to higher bits — reversed back,
-// each output digit depends on itself and its more significant digits
-// only, which is exactly the structure of an Owen scramble. It therefore
-// preserves every dyadic stratification property of the digital sequence
-// while decorrelating the deterministic Sobol artefacts, and different
-// seeds give statistically independent randomisations.
+// owenHash is the hash-based Owen (nested uniform) scramble of one 32-bit
+// coordinate, taking and returning it bit-reversed in and as is out: the
+// scrambled coordinate x is owenHash(Reverse32(x), seed). The hash
+// operates in bit-reversed space, where every operation (carry-propagating
+// add, XOR with an even multiple of the input) only moves information from
+// lower to higher bits — reversed back, each output digit depends on
+// itself and its more significant digits only, which is exactly the
+// structure of an Owen scramble. It therefore preserves every dyadic
+// stratification property of the digital sequence while decorrelating
+// the deterministic Sobol artefacts, and different seeds give
+// statistically independent randomisations. A sobolCursor keeps its
+// coordinates bit-reversed, so each scramble pays one reversal, not two.
 //
 //gicnet:pure
-func owenScramble(x, seed uint32) uint32 {
-	x = bits.Reverse32(x)
-	x += seed
+func owenHash(rev, seed uint32) uint32 {
+	x := rev + seed
 	x ^= x * 0x6c50b47c
 	x ^= x * 0xb82f1e52
 	x ^= x * 0xc7afe638
@@ -128,7 +145,7 @@ func owenScramble(x, seed uint32) uint32 {
 
 // Sobol is an Owen-scrambled Sobol sequence over up to SobolMaxDims
 // dimensions. The zero value is not useful; build one with NewSobol. A
-// Sobol value is immutable and safe for concurrent Point calls.
+// Sobol value is immutable and safe for concurrent use.
 type Sobol struct {
 	dims  int
 	seeds [SobolMaxDims]uint32
@@ -153,12 +170,40 @@ func NewSobol(dims int, key xrand.Source) (Sobol, error) {
 // Dims returns the number of dimensions per point.
 func (s *Sobol) Dims() int { return s.dims }
 
-// Point writes the coordinates of point index into out[:Dims], each in
-// [0,1). Indices may be visited in any order — the sequence is addressed,
-// not streamed — which is what lets parallel trial blocks consume it
-// deterministically.
-func (s *Sobol) Point(index uint32, out []float64) {
-	for d := 0; d < s.dims; d++ {
-		out[d] = float64(owenScramble(sobolRaw(d, index), s.seeds[d])) * 0x1p-32
+// sobolCursor holds one point's unscrambled coordinates, bit-reversed,
+// which the next point's differ from by one XOR per dimension: a block of
+// consecutive trials builds its first point from the index bits and
+// steps to the rest.
+type sobolCursor struct {
+	index uint32
+	rev   [SobolMaxDims]uint32 // Reverse32(sobolRaw(d, index))
+}
+
+// seek places the cursor on point index in the first dims dimensions.
+func (c *sobolCursor) seek(index uint32, dims int) {
+	c.index = index
+	for d := 0; d < dims; d++ {
+		c.rev[d] = bits.Reverse32(sobolRaw(d, index))
+	}
+}
+
+// advance moves the cursor to point index+1 (mod 2^32, where the step
+// flips all 32 bits and lands on point 0's zero coordinates).
+func (c *sobolCursor) advance(dims int) {
+	// The step flips bits 0..ones of the index; from 2^32-1 it flips
+	// all 32, which is sobolSteps' last entry.
+	ones := min(bits.TrailingZeros32(^c.index), 31)
+	for d := 0; d < dims; d++ {
+		c.rev[d] ^= sobolSteps[d][ones]
+	}
+	c.index++
+}
+
+// draws writes the scrambled coordinates of the cursor's point into
+// out[:len(out)] as raw draws: coordinate x·2⁻³² is the draw x<<32, whose
+// Float64 is that coordinate and whose low 32 bits are zero.
+func (s *Sobol) draws(c *sobolCursor, out []uint64) {
+	for d := range out {
+		out[d] = uint64(owenHash(c.rev[d], s.seeds[d])) << 32
 	}
 }

@@ -1,7 +1,7 @@
 package rare
 
 import (
-	"math"
+	"math/bits"
 	"testing"
 
 	"gicnet/internal/xrand"
@@ -34,9 +34,9 @@ func TestSobolRangeAndDeterminism(t *testing.T) {
 	pb := make([]float64, 8)
 	differs := false
 	for idx := uint32(0); idx < 512; idx++ {
-		a1.Point(idx, p1)
-		a2.Point(idx, p2)
-		b.Point(idx, pb)
+		point(&a1, idx, p1)
+		point(&a2, idx, p2)
+		point(&b, idx, pb)
 		for d := 0; d < 8; d++ {
 			if !(p1[d] >= 0 && p1[d] < 1) {
 				t.Fatalf("point %d dim %d: coordinate %v outside [0,1)", idx, d, p1[d])
@@ -76,7 +76,7 @@ func TestSobolStratification(t *testing.T) {
 				hit[d] = make([]bool, size)
 			}
 			for i := uint32(0); i < size; i++ {
-				s.Point(block*size+i, pt)
+				point(&s, block*size+i, pt)
 				for d := 0; d < SobolMaxDims; d++ {
 					bin := int(pt[d] * float64(size))
 					if hit[d][bin] {
@@ -107,7 +107,7 @@ func TestSobolBeatsPseudoRandomDiscrepancy(t *testing.T) {
 		rng := xrand.New(18)
 		for i := 0; i < n; i++ {
 			qmc[i] = make([]float64, dims)
-			s.Point(uint32(i), qmc[i])
+			point(&s, uint32(i), qmc[i])
 			prng[i] = make([]float64, dims)
 			for d := 0; d < dims; d++ {
 				prng[i][d] = rng.Float64()
@@ -158,12 +158,61 @@ func boxDeviation(pts [][]float64, corner []float64, vol float64) float64 {
 	return dev
 }
 
-// TestPointStreamOn53BitGrid pins what the quasi-Monte Carlo streams
-// deliver: every uniform a trial's pointStream hands the sampler — its
-// scrambled Sobol coordinates (a 32-bit integer times 2⁻³²) and the
-// pseudo-random padding past them — lies on the 2⁻⁵³ grid of an xrand
-// draw, so each value times 2⁵³ is an integer below 2⁵³. A finer
-// generator behind either part fails it.
+// owenScramble is the Owen scramble of coordinate x as its definition
+// reads, reversal in and out: the reference owenHash on a reversed
+// coordinate is held to.
+func owenScramble(x, seed uint32) uint32 {
+	return owenHash(bits.Reverse32(x), seed)
+}
+
+// point writes the coordinates of point index into out[:Dims], each in
+// [0,1): the raw draws SampleBlock hands the sampler, as Float64 reads
+// them.
+func point(s *Sobol, index uint32, out []float64) {
+	var c sobolCursor
+	c.seek(index, s.dims)
+	var draws [SobolMaxDims]uint64
+	s.draws(&c, draws[:s.dims])
+	for d := 0; d < s.dims; d++ {
+		out[d] = float64(draws[d]>>11) / (1 << 53)
+	}
+}
+
+// TestSobolCursorMatchesRaw holds the delta step to sobolRaw: a cursor
+// seeked anywhere, the 2^32 wrap included, and advanced point by point
+// must hold sobolRaw(d, index) in every dimension at every step.
+func TestSobolCursorMatchesRaw(t *testing.T) {
+	starts := []uint32{0, 1, 63, 64, 1<<31 - 3, 1 << 31, 1<<32 - 200, 1<<32 - 64, 1<<32 - 1}
+	rng := xrand.New(0x64656c7461)
+	for i := 0; i < 16; i++ {
+		starts = append(starts, uint32(rng.Uint64()))
+	}
+	for _, start := range starts {
+		var c sobolCursor
+		c.seek(start, SobolMaxDims)
+		for step := 0; step < 300; step++ {
+			if step > 0 {
+				c.advance(SobolMaxDims)
+			}
+			index := start + uint32(step)
+			if c.index != index {
+				t.Fatalf("start %d step %d: cursor at index %d, want %d", start, step, c.index, index)
+			}
+			for d := 0; d < SobolMaxDims; d++ {
+				if got, want := bits.Reverse32(c.rev[d]), sobolRaw(d, index); got != want {
+					t.Fatalf("start %d, index %d, dim %d: cursor holds %#x, sobolRaw %#x", start, index, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPointStreamOn53BitGrid pins what the quasi-Monte Carlo streams hand
+// the sampler: every prefix draw of a block's trials is its scrambled
+// Sobol coordinate shifted up 32 bits — the low 32 bits zero, so its top
+// 53 bits are the coordinate on the 2^-53 grid of an xrand draw, which
+// the integer thresholds and skip tables decide exactly — and equals
+// owenScramble(sobolRaw(d, trial)), the coordinate built from scratch.
 func TestPointStreamOn53BitGrid(t *testing.T) {
 	root := *xrand.New(1859)
 	for _, dims := range []int{1, 7, SobolMaxDims} {
@@ -171,16 +220,20 @@ func TestPointStreamOn53BitGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := pointStream{prefix: make([]float64, dims)}
-		for trial := uint64(0); trial < 500; trial++ {
-			sob.Point(uint32(trial), ps.prefix)
-			ps.i = 0
-			ps.tail = root.SplitAt(trial)
-			for k := 0; k < dims+40; k++ {
-				v := ps.Float64()
-				x := v * (1 << 53)
-				if !(x >= 0 && x < 1<<53) || x != math.Trunc(x) {
-					t.Fatalf("dims %d trial %d draw %d: %v is not a multiple of 2^-53 in [0,1)", dims, trial, k, v)
+		for _, t0 := range []uint32{0, 64, 1<<32 - 100} {
+			var c sobolCursor
+			head := make([]uint64, dims)
+			c.seek(t0, dims)
+			for b := uint32(0); b < 200; b++ {
+				if b > 0 {
+					c.advance(dims)
+				}
+				sob.draws(&c, head)
+				for d, z := range head {
+					want := uint64(owenScramble(sobolRaw(d, t0+b), sob.seeds[d])) << 32
+					if z&(1<<32-1) != 0 || z != want {
+						t.Fatalf("dims %d trial %d draw %d: %#x, want %#x with the low 32 bits zero", dims, t0+b, d, z, want)
+					}
 				}
 			}
 		}

@@ -105,32 +105,14 @@ func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []
 	err = sim.ForEach(ctx, len(pts), cfg.Workers, func(k int) error {
 		pt := pts[k]
 		res := pt.Result
-		n := len(res.Outcomes)
-		vals := make([]float64, n)
-		ws := make([]float64, n)
-		sumW := 0.0
-		for i, o := range res.Outcomes {
-			if o.CablesFailed >= thresh {
-				vals[i] = 1
-			}
-			ws[i] = res.Weight(i)
-			sumW += ws[i]
-		}
+		tp, vals, ws := summarize(res, thresh)
 		rng := root.SplitAt(bootSalt ^ uint64(k))
 		ci, err := stats.WeightedBootstrapCI(vals, ws, level, resamples, &rng)
 		if err != nil {
 			return err
 		}
-		out[k] = TailPoint{
-			P:          pt.P,
-			CableMean:  res.WeightedMean(func(o failure.Outcome) float64 { return o.CableFrac }),
-			NodeMean:   res.WeightedMean(func(o failure.Outcome) float64 { return o.NodeFrac }),
-			TailProb:   res.WeightedMean(func(o failure.Outcome) float64 { return b2f(o.CablesFailed >= thresh) }),
-			TailCI:     ci,
-			ESS:        res.ESS(),
-			MeanWeight: sumW / float64(n),
-			Estimator:  res.Estimator,
-		}
+		tp.P, tp.TailCI, tp.Estimator = pt.P, ci, res.Estimator
+		out[k] = tp
 		return nil
 	})
 	if err != nil {
@@ -139,9 +121,40 @@ func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []
 	return out, nil
 }
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
+// summarize folds a point's weighted estimates into one pass over its
+// trials, each weight exponentiated once: the means, ESS and mean weight,
+// plus the tail indicators and weights the bootstrap resamples. Each sum
+// runs in trial order with the terms sim.Result's WeightedMean and ESS
+// add (w·f, w, w·w), so every field is bit-identical to theirs.
+func summarize(res *sim.Result, thresh int) (tp TailPoint, vals, ws []float64) {
+	n := len(res.Outcomes)
+	vals = make([]float64, n)
+	ws = make([]float64, n)
+	var cable, node, tail, sumW, sumSq float64
+	for i, o := range res.Outcomes {
+		w := res.Weight(i)
+		hit := 0.0
+		if o.CablesFailed >= thresh {
+			hit = 1
+		}
+		vals[i], ws[i] = hit, w
+		cable += w * o.CableFrac
+		node += w * o.NodeFrac
+		tail += w * hit
+		sumW += w
+		sumSq += w * w
 	}
-	return 0
+	if n > 0 {
+		tp.CableMean = cable / float64(n)
+		tp.NodeMean = node / float64(n)
+		tp.TailProb = tail / float64(n)
+	}
+	switch {
+	case res.LogWeights == nil:
+		tp.ESS = float64(n)
+	case sumSq != 0:
+		tp.ESS = sumW * sumW / sumSq
+	}
+	tp.MeanWeight = sumW / float64(n)
+	return tp, vals, ws
 }

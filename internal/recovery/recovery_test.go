@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
@@ -331,5 +332,36 @@ func TestDefaultFleetSane(t *testing.T) {
 		if s.SpeedKmPerDay <= 0 {
 			t.Errorf("ship %q speed", s.Name)
 		}
+	}
+}
+
+// TestFaultsFromRefusesInfiniteLength: a cable of infinite length has
+// math.MaxInt repeaters at any spacing, so a per-repeater damage loop over
+// it never ends. The network must be refused before any loop runs; the
+// call runs under its own deadline so that a hang fails the test instead
+// of stalling the suite.
+func TestFaultsFromRefusesInfiniteLength(t *testing.T) {
+	net := &topology.Network{
+		Name:  "inf",
+		Nodes: []topology.Node{{Name: "a"}, {Name: "b"}},
+		Cables: []topology.Cable{{
+			Name:     "endless",
+			Segments: []topology.Segment{{A: 0, B: 1, LengthKm: math.Inf(1)}},
+		}},
+	}
+	dead := graph.NewBitset(1)
+	dead.Set(0)
+	done := make(chan error, 1)
+	go func() {
+		_, err := FaultsFrom(net, dead, 150, 0.1, xrand.New(1))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrBadInput) || !errors.Is(err, topology.ErrBadLength) {
+			t.Fatalf("FaultsFrom on an infinite cable = %v, want ErrBadInput wrapping topology.ErrBadLength", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("FaultsFrom on an infinite cable still running after 5 s")
 	}
 }

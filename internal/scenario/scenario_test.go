@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/geo"
@@ -243,6 +247,49 @@ func TestRunDuplicateCableNames(t *testing.T) {
 		}
 		if rep.CablesDead != 2 || rep.FaultCount != 2 {
 			t.Errorf("cables named %q: %d dead and %d faults, want 2 and 2", names, rep.CablesDead, rep.FaultCount)
+		}
+	}
+}
+
+// TestRunRefusesMalformedNetwork: a timeline over a network with a
+// dangling segment or an infinite cable returns Validate's error, with
+// grid coupling on or off, instead of panicking in the shutdown planner
+// or looping over math.MaxInt repeaters.
+func TestRunRefusesMalformedNetwork(t *testing.T) {
+	nets := map[string]struct {
+		seg  topology.Segment
+		want error
+	}{
+		"dangling": {topology.Segment{A: 0, B: 7, LengthKm: 6000}, topology.ErrDanglingSegment},
+		"infinite": {topology.Segment{A: 0, B: 1, LengthKm: math.Inf(1)}, topology.ErrBadLength},
+	}
+	for name, c := range nets {
+		for _, grid := range []bool{false, true} {
+			net := &topology.Network{
+				Name:   name,
+				Nodes:  []topology.Node{{Name: "a"}, {Name: "b"}},
+				Cables: []topology.Cable{{Name: "c", Segments: []topology.Segment{c.seg}}},
+			}
+			cfg := DefaultConfig()
+			cfg.GridCoupling = grid
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err := Run(&dataset.World{Submarine: net}, cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, c.want) {
+					t.Errorf("%s network, grid coupling %v: Run = %v, want %v", name, grid, err, c.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s network, grid coupling %v: Run still running after 5 s", name, grid)
+			}
 		}
 	}
 }

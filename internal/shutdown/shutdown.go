@@ -119,6 +119,11 @@ func PlanShutdown(net *topology.Network, s gic.Storm, opts Options) (*Plan, erro
 	if net == nil {
 		return nil, errors.New("shutdown: nil network")
 	}
+	// The storm model indexes nodes by segment endpoint: refuse a
+	// network whose segments dangle before it does.
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
 	if err := failure.CheckSpacing(opts.SpacingKm); err != nil {
 		return nil, err
 	}

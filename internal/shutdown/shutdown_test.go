@@ -1,6 +1,7 @@
 package shutdown
 
 import (
+	"errors"
 	"testing"
 
 	"gicnet/internal/dataset"
@@ -139,5 +140,31 @@ func TestPlanDeathOffNeverWorse(t *testing.T) {
 		if a.DeathOff > a.DeathOn+1e-12 {
 			t.Fatalf("cable %q: powered-off death %v exceeds powered-on %v", a.Cable, a.DeathOff, a.DeathOn)
 		}
+	}
+}
+
+// danglingNet is a two-node network whose one 6,000 km cable names node 7.
+func danglingNet() *topology.Network {
+	return &topology.Network{
+		Name:  "dangling",
+		Nodes: []topology.Node{{Name: "a"}, {Name: "b"}},
+		Cables: []topology.Cable{{
+			Name:     "astray",
+			Segments: []topology.Segment{{A: 0, B: 7, LengthKm: 6000}},
+		}},
+	}
+}
+
+// TestPlanRefusesDanglingSegment: the storm model reads each cable's
+// endpoint latitudes by node index, so a segment naming a missing node
+// must be refused with Validate's error before it is indexed.
+func TestPlanRefusesDanglingSegment(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("PlanShutdown panicked on a dangling segment: %v", r)
+		}
+	}()
+	if _, err := PlanShutdown(danglingNet(), gic.Quebec, DefaultOptions()); !errors.Is(err, topology.ErrDanglingSegment) {
+		t.Fatalf("PlanShutdown on a dangling segment = %v, want topology.ErrDanglingSegment", err)
 	}
 }

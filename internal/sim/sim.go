@@ -147,18 +147,6 @@ func (r *Result) WeightedMean(f func(failure.Outcome) float64) float64 {
 	return total / float64(len(r.Outcomes))
 }
 
-// WeightedVariance returns the population variance of the per-trial
-// estimator terms w_i f(outcome_i) — the quantity whose reduction the
-// rare-event layer's benchmarks gate on, since the estimator's variance is
-// this divided by the trial count.
-func (r *Result) WeightedVariance(f func(failure.Outcome) float64) float64 {
-	var run stats.Running
-	for i, o := range r.Outcomes {
-		run.Add(r.Weight(i) * f(o))
-	}
-	return run.Variance()
-}
-
 // ESS returns Kish's effective sample size (sum w)^2 / sum w^2 — how many
 // plain trials the weighted sample is worth for mean estimation. On the
 // plain path it equals the trial count; a collapsing ESS is the standard

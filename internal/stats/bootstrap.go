@@ -26,15 +26,7 @@ func BootstrapCI(xs []float64, level float64, resamples int, rng *xrand.Source) 
 	if err := checkBootstrapArgs(xs, level, resamples); err != nil {
 		return CI{}, err
 	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		sum := 0.0
-		for i := 0; i < len(xs); i++ {
-			sum += xs[rng.Intn(len(xs))]
-		}
-		means[r] = sum / float64(len(xs))
-	}
-	return percentileCI(means, level), nil
+	return resampleCI(xs, level, resamples, rng), nil
 }
 
 // WeightedBootstrapCI is BootstrapCI for the unnormalised
@@ -62,16 +54,37 @@ func WeightedBootstrapCI(xs, ws []float64, level float64, resamples int, rng *xr
 	for j := range wx {
 		wx[j] = ws[j] * xs[j]
 	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		sum := 0.0
-		for i := 0; i < len(wx); i++ {
-			sum += wx[rng.Intn(len(wx))]
-		}
-		means[r] = sum / float64(len(wx))
-	}
-	return percentileCI(means, level), nil
+	return resampleCI(wx, level, resamples, rng), nil
 }
+
+// resampleCI is the percentile bootstrap of the mean of vals: each
+// resample draws len(vals) indices with IntnInto, the draws Intn would
+// make one at a time, and adds the values they pick in draw order, so
+// every replicate mean is the float sum of a draw-by-draw loop. The
+// indices are drawn a chunk at a time into a buffer on the stack, which
+// stays in the L1 cache and costs no allocation.
+func resampleCI(vals []float64, level float64, resamples int, rng *xrand.Source) CI {
+	n := len(vals)
+	means := make([]float64, resamples)
+	var buf [resampleChunk]int
+	for r := range means {
+		sum := 0.0
+		for done := 0; done < n; {
+			idx := buf[:min(n-done, resampleChunk)]
+			rng.IntnInto(idx, n)
+			for _, j := range idx {
+				sum += vals[j]
+			}
+			done += len(idx)
+		}
+		means[r] = sum / float64(n)
+	}
+	return percentileCI(means, level)
+}
+
+// resampleChunk is how many indices resampleCI draws at a time: a
+// multiple of IntnInto's eight-draw vector step.
+const resampleChunk = 512
 
 // checkBootstrapArgs validates the shared BootstrapCI argument contract.
 func checkBootstrapArgs(xs []float64, level float64, resamples int) error {

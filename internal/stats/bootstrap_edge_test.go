@@ -145,6 +145,44 @@ func TestWeightedBootstrapCIMatchesGather(t *testing.T) {
 	}
 }
 
+// TestBootstrapRareSampleMatchesGather holds the chunked bulk-index loop
+// to the gather form on rare-event-like samples, at sizes below, at and
+// across the chunk (powers of two, where IntnInto takes its vector run,
+// and not): a handful of hits among zeros, signed zeros from zero weights
+// on negative values, and negative products.
+func TestBootstrapRareSampleMatchesGather(t *testing.T) {
+	rng := xrand.New(0x73706172)
+	for _, n := range []int{1, 2, 10, 256, resampleChunk, resampleChunk + 3, 1024, 4096, 8191, 8192} {
+		for _, hits := range []int{0, 1, 3, n / 40, n / 16, n / 4} {
+			xs := make([]float64, n)
+			ws := make([]float64, n)
+			for i := range xs {
+				ws[i] = math.Exp(-20 * rng.Float64())
+				switch rng.Intn(4) {
+				case 0:
+					xs[i] = math.Copysign(0, -1) // a -0 product
+				case 1:
+					xs[i], ws[i] = -rng.Float64(), 0 // zero weight on a negative value: -0
+				case 2:
+					xs[i], ws[i] = rng.Float64(), 0
+				}
+			}
+			for h := 0; h < hits; h++ {
+				i := rng.Intn(n)
+				xs[i], ws[i] = rng.Range(-1, 1), math.Exp(-20*rng.Float64())
+			}
+			got, err := WeightedBootstrapCI(xs, ws, 0.9, 32, xrand.New(uint64(n+hits)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			//gicnet:allow floatcmp the two loops add identical products in identical order
+			if want := weightedBootstrapRef(xs, ws, 0.9, 32, xrand.New(uint64(n+hits))); got != want {
+				t.Fatalf("n=%d, about %d hits: %+v, gather form %+v", n, hits, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkWeightedBootstrapCI is the rare-event tail's interval at its
 // working size: 8,192 weighted draws, 200 resamples.
 func BenchmarkWeightedBootstrapCI(b *testing.B) {

@@ -130,7 +130,7 @@ type Network struct {
 // Errors returned by Validate.
 var (
 	ErrDanglingSegment = errors.New("topology: segment references missing node")
-	ErrNegativeLength  = errors.New("topology: negative segment length")
+	ErrBadLength       = errors.New("topology: segment length not finite and non-negative")
 	ErrEmptyCable      = errors.New("topology: cable with no segments")
 	ErrDuplicateNode   = errors.New("topology: duplicate node name")
 )
@@ -173,8 +173,10 @@ func (n *Network) validate() error {
 			if s.A < 0 || s.A >= len(n.Nodes) || s.B < 0 || s.B >= len(n.Nodes) {
 				return fmt.Errorf("%w: cable %q segment (%d,%d)", ErrDanglingSegment, c.Name, s.A, s.B)
 			}
-			if s.LengthKm < 0 || math.IsNaN(s.LengthKm) {
-				return fmt.Errorf("%w: cable %q", ErrNegativeLength, c.Name)
+			// An infinite length would saturate RepeaterCount at math.MaxInt,
+			// and every per-repeater loop downstream would never end.
+			if !(s.LengthKm >= 0) || math.IsInf(s.LengthKm, 1) {
+				return fmt.Errorf("%w: cable %q segment (%d,%d) length %v km", ErrBadLength, c.Name, s.A, s.B, s.LengthKm)
 			}
 		}
 	}

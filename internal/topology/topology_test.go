@@ -55,7 +55,13 @@ func TestValidateErrors(t *testing.T) {
 		}, ErrDanglingSegment},
 		{"negative length", func(n *Network) {
 			n.Cables[0].Segments[0].LengthKm = -1
-		}, ErrNegativeLength},
+		}, ErrBadLength},
+		{"NaN length", func(n *Network) {
+			n.Cables[0].Segments[0].LengthKm = math.NaN()
+		}, ErrBadLength},
+		{"infinite length", func(n *Network) {
+			n.Cables[0].Segments[0].LengthKm = math.Inf(1)
+		}, ErrBadLength},
 		{"empty cable", func(n *Network) {
 			n.Cables[0].Segments = nil
 		}, ErrEmptyCable},

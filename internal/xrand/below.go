@@ -3,17 +3,20 @@ package xrand
 import "math/bits"
 
 // This file is the dense Bernoulli draw loop behind the failure sampler:
-// one Below draw per decided bit of a bitset, many bits per call. It has
-// two implementations selected at build time and, on amd64, at init:
+// one Below draw per decided bit of a bitset, many bits per call. It and
+// IntnInto's power-of-two run have two implementations each, selected at
+// build time and, on amd64, at init:
 //
-//   - below_amd64.go / below_amd64.s — an AVX-512 kernel that computes
-//     eight draws per instruction in ZMM registers, compares them
-//     unsigned against their thresholds into a mask register and deposits
-//     each word's decisions with one BMI2 PDEP. It runs when CPUID and
-//     XGETBV report AVX-512F and DQ, BMI2 and the OS-saved opmask and
-//     upper vector state;
-//   - belowIntoGo below — the scalar reference loop, used on every other
-//     host and GOARCH and whenever the build sets the `purego` tag.
+//   - below_amd64.go / below_amd64.s — AVX-512 kernels that compute
+//     eight draws per instruction in ZMM registers. The dense kernel
+//     compares them unsigned against their thresholds into a mask
+//     register and deposits each word's decisions with one BMI2 PDEP;
+//     the index kernel keeps each draw's top bits. They run when CPUID
+//     and XGETBV report AVX-512F and DQ, BMI2 and the OS-saved opmask
+//     and upper vector state;
+//   - belowIntoGo below and the Intn loop — the scalar reference loops,
+//     used on every other host and GOARCH and whenever the build sets
+//     the `purego` tag.
 //
 // The kernel is exact because SplitMix64 is counter-based: draw k after
 // state s is mix(s + (k+1)·golden), a pure function of its index, so the

@@ -2,7 +2,11 @@
 
 package xrand
 
-import "gicnet/internal/cpuid"
+import (
+	"math/bits"
+
+	"gicnet/internal/cpuid"
+)
 
 // useAVX512 selects the vector kernel (below_amd64.s). It is set once at
 // init from the CPU's features; tests clear it to run the Go loop.
@@ -19,6 +23,22 @@ func belowInto(s *Source, dst []uint64, words []BelowWord, thr []uint64, n uint6
 		return
 	}
 	s.belowIntoGo(dst, words, thr)
+}
+
+// intnIntoPow2 is IntnInto for a power-of-two n and a multiple of eight
+// draws: the vector kernel where the host has it, which advances nothing,
+// so the stream is moved past the draws here; the scalar loop otherwise.
+//
+//gicnet:hotpath
+func intnIntoPow2(s *Source, dst []int, n int) {
+	if useAVX512 {
+		intnIntoAVX512(dst, s.state, 64-uint64(bits.TrailingZeros64(uint64(n))))
+		s.state += uint64(len(dst)) * golden
+		return
+	}
+	for i := range dst {
+		dst[i] = s.Intn(n)
+	}
 }
 
 // cpuFeatures names the dense-draw kernel this binary runs, for test logs.
@@ -59,3 +79,10 @@ func detectAVX512() bool {
 //
 //go:noescape
 func belowIntoAVX512(dst []uint64, words []BelowWord, thr []uint64, state, n uint64)
+
+// intnIntoAVX512 writes the top 64-shift bits of the len(dst) draws after
+// state into dst, eight per step, without advancing the state
+// (below_amd64.s). len(dst) must be a multiple of eight.
+//
+//go:noescape
+func intnIntoAVX512(dst []int, state, shift uint64)

@@ -3,6 +3,9 @@
 #include "textflag.h"
 #include "funcdata.h"
 
+// The two SplitMix64 vector kernels: dense Bernoulli draws (BelowInto)
+// and bootstrap indices (IntnInto, at the end of the file).
+//
 // Dense Bernoulli draws, eight per step in ZMM registers, in two passes
 // over chunks of up to 64 layout words (at most 4096 draws).
 //
@@ -20,7 +23,8 @@
 // mask has set — and one OR stores them.
 //
 // The stream state is read, never written: the Go caller advances it by
-// the layout's n draws. 512-bit steps were chosen over 256-bit ones by
+// the layout's n draws. PCALIGN pins the loops' alignment, so their speed
+// does not depend on where the linker places the function. 512-bit steps were chosen over 256-bit ones by
 // measurement (DESIGN.md, "Performance: dense draws in vector registers").
 //
 // Registers: DI dst, SI the next layout word, BX the layout's end, R8 thr,
@@ -85,6 +89,7 @@ lanes:
 	XORL  R11, R11
 	TESTQ R10, R10
 	JZ    deposit
+	PCALIGN $64
 
 draw:
 	VPSRLQ  $30, Z0, Z1
@@ -105,6 +110,8 @@ draw:
 
 deposit:
 	MOVL 12(SI), R12              // the chunk's first draw
+	PCALIGN $32
+
 dword:
 	MOVL  12(SI), CX
 	SUBL  R12, CX                 // the word's first decision bit
@@ -125,4 +132,49 @@ dword:
 	VZEROUPPER
 
 done:
+	RET
+
+// Bootstrap indices, eight per step: IntnInto's draws for a power-of-two
+// bound, which never reject, are the top bits of consecutive draws. The
+// step's counters run SplitMix64's mix as the draw pass above does, one
+// variable right shift keeps each draw's top bits, and one store writes
+// the eight indices. The state is read, never written.
+//
+// Registers: DI dst, CX the steps left, X15 the shift, Z0 the step's
+// counters, Z12 and Z13 the mix multipliers, Z14 one step of increments.
+
+// func intnIntoAVX512(dst []int, state, shift uint64)
+TEXT ·intnIntoAVX512(SB), NOSPLIT, $0-40
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ state+24(FP), AX
+	MOVQ shift+32(FP), BX
+	SHRQ $3, CX                   // steps of eight
+	JZ   intnDone
+	VMOVQ        BX, X15
+	VPBROADCASTQ AX, Z0
+	VPADDQ       laneSteps<>(SB), Z0, Z0
+	VPBROADCASTQ splitmix<>+0x08(SB), Z12
+	VPBROADCASTQ splitmix<>+0x10(SB), Z13
+	VPBROADCASTQ laneSteps<>+0x38(SB), Z14
+	PCALIGN $64
+
+intnStep:
+	VPSRLQ    $30, Z0, Z1
+	VPXORQ    Z0, Z1, Z1
+	VPMULLQ   Z12, Z1, Z1
+	VPSRLQ    $27, Z1, Z2
+	VPXORQ    Z1, Z2, Z2
+	VPMULLQ   Z13, Z2, Z2
+	VPSRLQ    $31, Z2, Z3
+	VPXORQ    Z2, Z3, Z3          // eight draws
+	VPSRLQ    X15, Z3, Z3         // their top bits
+	VMOVDQU64 Z3, (DI)
+	VPADDQ    Z14, Z0, Z0
+	ADDQ      $64, DI
+	DECQ      CX
+	JNZ       intnStep
+	VZEROUPPER
+
+intnDone:
 	RET

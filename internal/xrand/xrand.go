@@ -49,6 +49,20 @@ func (s *Source) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Next is Uint64 for a stream held by value: it returns the next 64 bits
+// and the stream advanced past them. A loop that steps a local Source
+// through Next keeps the state in a register, where Uint64's pointer
+// receiver would store it back to memory on every draw.
+//
+//gicnet:hotpath
+func (s Source) Next() (uint64, Source) {
+	s.state += golden
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31), s
+}
+
 // Split derives an independent child stream keyed by key. The parent stream
 // is not advanced, so the child's output depends only on (parent seed, key).
 func (s *Source) Split(key uint64) *Source {
@@ -92,6 +106,31 @@ func (s *Source) Intn(n int) int {
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
+	}
+}
+
+// IntnInto fills dst with len(dst) draws of Intn(n), in order: it gives
+// the values and leaves the stream where dst[i] = Intn(n) for each i in
+// turn would. It panics if n <= 0.
+//
+// For a power-of-two n Lemire's method never rejects ((-n) mod n = 0), so
+// draw i is the top log2(n) bits of the stream's draw i, a pure function
+// of its index on the counter property; on hosts with the vector kernel
+// (see below.go) such n are drawn eight at a time. Every other n runs the
+// scalar loop.
+//
+//gicnet:hotpath
+func (s *Source) IntnInto(dst []int, n int) {
+	if n <= 0 {
+		panic("xrand: IntnInto with non-positive n")
+	}
+	if n&(n-1) == 0 {
+		k := len(dst) &^ 7
+		intnIntoPow2(s, dst[:k], n)
+		dst = dst[k:]
+	}
+	for i := range dst {
+		dst[i] = s.Intn(n)
 	}
 }
 
