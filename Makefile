@@ -25,10 +25,12 @@ test: build
 # The trial engine with no assembly in play: on a host that selects the
 # vector kernels, the Go loops they fall back to (and are held to) would
 # otherwise never run under test. `purego` swaps in the pure-Go dispatch
-# files of internal/graph and internal/xrand: the dense Bernoulli draws
-# and the bootstrap's index draws (IntnInto, behind internal/stats).
+# files of internal/graph and internal/xrand: the dense Bernoulli draws,
+# the bootstrap's index draws (IntnInto, behind internal/stats) and the
+# bit-matrix transpose (graph.Transpose64, behind the block evaluator and
+# internal/crosslayer's block scoring).
 test-purego:
-	$(GO) test -tags purego ./internal/xrand/... ./internal/failure/... ./internal/sim/... ./internal/rare/... ./internal/stats/...
+	$(GO) test -tags purego ./internal/xrand/... ./internal/graph/... ./internal/failure/... ./internal/crosslayer/... ./internal/sim/... ./internal/rare/... ./internal/stats/...
 
 # Formatting gate: fails, listing the files, when any file is not gofmt-clean.
 fmt:
@@ -67,10 +69,12 @@ loadtest-smoke:
 
 # Cross-compile gate: the assembly kernels ship their build variants —
 # the bitset popcount as AVX2 amd64 assembly, NEON arm64 assembly and a
-# pure-Go fallback; the dense Bernoulli draws and the bootstrap's index
-# draws (internal/xrand) as AVX-512 amd64 assembly and pure-Go fallbacks
-# (arm64 and purego); the CPUID and
-# XGETBV probes (internal/cpuid) as amd64 assembly only — and all of them
+# pure-Go fallback; the 64×64 bit-matrix transpose (graph.Transpose64) as
+# AVX-512 amd64 assembly and the Go butterfly (arm64 and purego); the
+# dense Bernoulli draws and the bootstrap's index draws (internal/xrand)
+# as AVX-512 amd64 assembly and pure-Go fallbacks (arm64 and purego); the
+# CPUID and XGETBV probes and the AVX-512 gate (internal/cpuid) as amd64
+# assembly only — and all of them
 # must always compile, whatever machine the PR was written on. Vetting the
 # amd64 packages and the purego variants runs vet's asmdecl check on every
 # assembly frame and keeps the fallbacks' declarations in step.
@@ -99,7 +103,9 @@ update-golden:
 # the dense-draw kernel (against the Go loop, stream state included), the
 # bootstrap index draws (against the scalar Intn loop, stream state
 # included), the core-contraction connectivity engine, the
-# bitset kernel primitives (assembly vs reference semantics), the cross-layer index (its AS
+# bitset kernel primitives (assembly vs reference semantics), the
+# bit-matrix transpose (the kernel against the Go butterfly, and twice
+# against the identity), the cross-layer index (its AS
 # attachment against the all-pairs scan), the repair scheduler (against
 # its rescan reference), the nearest-point screen (against a
 # brute-force scan) and the downstream entry points (malformed networks
@@ -115,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSobol$$' -fuzztime $(FUZZTIME) ./internal/rare
 	$(GO) test -run '^$$' -fuzz '^FuzzCoreContraction$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzBitsetKernels$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzTranspose64$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzCableASAdjacency$$' -fuzztime $(FUZZTIME) ./internal/crosslayer
 	$(GO) test -run '^$$' -fuzz '^FuzzAnnotationComments$$' -fuzztime $(FUZZTIME) ./internal/lint
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRecovery$$' -fuzztime $(FUZZTIME) ./internal/recovery

@@ -539,6 +539,25 @@ func BenchmarkTrialLoopHighP(b *testing.B) {
 			itu.EvaluateBatch(&ituScratch, n, outcomes[:n])
 		}
 	})
+	// The Fig 6/7 cell where the transposes weigh most: ITU at p=0.05 and
+	// 50 km, 184 words per trial and 7,254 vulnerable nodes.
+	itu50, err := failure.Compile(w.ITU, failure.Uniform{P: 0.05}, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var itu50Scratch failure.BatchScratch
+	itu50Scratch.Grow(itu50)
+	itu50.SampleBatch(&itu50Scratch, root, 0, failure.MaxBatch)
+	b.Run("evaluate-batched-itu-50km", func(b *testing.B) {
+		b.ReportAllocs()
+		for t0 := 0; t0 < b.N; t0 += failure.MaxBatch {
+			n := b.N - t0
+			if n > failure.MaxBatch {
+				n = failure.MaxBatch
+			}
+			itu50.EvaluateBatch(&itu50Scratch, n, outcomes[:n])
+		}
+	})
 }
 
 // BenchmarkBitsetKernels times the multi-word popcount on its own, at the

@@ -247,8 +247,14 @@ func RecommendBridges(w *World, m FailureModel, spacingKm float64, trials int, s
 // DefaultTrafficDemands returns the synthetic inter-region traffic matrix.
 func DefaultTrafficDemands() []TrafficDemand { return routing.DefaultDemands() }
 
-// NewCableSet returns an empty cable set sized for net.
-func NewCableSet(net *Network) CableSet { return graph.NewBitset(len(net.Cables)) }
+// NewCableSet returns an empty cable set sized for net; for a nil network,
+// an empty set of no cables.
+func NewCableSet(net *Network) CableSet {
+	if net == nil {
+		return graph.NewBitset(0)
+	}
+	return graph.NewBitset(len(net.Cables))
+}
 
 // RouteTraffic routes demands over the network; cableDead may be nil for
 // the intact network (§5.5 load-shift analysis).

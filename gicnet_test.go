@@ -2,6 +2,7 @@ package gicnet
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -142,5 +143,64 @@ func TestFacadeRecommendBridges(t *testing.T) {
 	}
 	if len(cands) != 2 {
 		t.Errorf("candidates = %d", len(cands))
+	}
+}
+
+// TestFacadeRefusesNilNetwork calls every exported function that takes a
+// *Network with a nil one: each must refuse it with an error, never a
+// panic, except NewCableSet, which has no error to return and gives an
+// empty set.
+func TestFacadeRefusesNilNetwork(t *testing.T) {
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Simulate", func() error {
+			_, err := Simulate(ctx, nil, SimConfig{Model: S1(), SpacingKm: 150, Trials: 10, Seed: 1})
+			return err
+		}},
+		{"PlanShutdown", func() error {
+			_, err := PlanShutdown(nil, Carrington, DefaultShutdownOptions())
+			return err
+		}},
+		{"RouteTraffic", func() error {
+			_, err := RouteTraffic(nil, DefaultTrafficDemands(), nil)
+			return err
+		}},
+		{"CompareTrafficLoads", func() error {
+			_, err := CompareTrafficLoads(nil, nil, nil)
+			return err
+		}},
+		{"SampleStorm", func() error {
+			_, err := SampleStorm(nil, S1(), 150, 1)
+			return err
+		}},
+		{"SampleFaults", func() error {
+			_, err := SampleFaults(nil, nil, 150, 1, 1)
+			return err
+		}},
+		{"PlanRecovery", func() error {
+			_, err := PlanRecovery(nil, nil, DefaultRepairFleet())
+			return err
+		}},
+		{"NewCableSet", func() error {
+			if s := NewCableSet(nil); len(s) != 0 {
+				return nil
+			}
+			return errors.New("empty set")
+		}},
+	}
+	for _, c := range calls {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s(nil network) panicked: %v", c.name, r)
+				}
+			}()
+			if err := c.call(); err == nil {
+				t.Fatalf("%s(nil network) was not refused", c.name)
+			}
+		})
 	}
 }

@@ -140,10 +140,6 @@ func (x *Index) Edges() int { return len(x.edgeA) }
 // TotalASes returns the number of attached ASes.
 func (x *Index) TotalASes() int64 { return x.totalAS }
 
-// SiteNode returns the node index of a site (0 <= site < Sites()).
-// Test/diagnostic accessor; not for hot paths.
-func (x *Index) SiteNode(site int) int32 { return x.sites[site] }
-
 // SiteOf returns the site index of a node, or -1 when no AS attaches
 // there. Test/diagnostic accessor; not for hot paths.
 func (x *Index) SiteOf(node int) int32 { return x.siteOf[node] }

@@ -27,12 +27,14 @@ import (
 const MaxBatch = 64
 
 // BatchScratch is the per-worker storage for trial blocks: MaxBatch
-// row-major dead masks plus the column-major (bitsliced) view the block
-// evaluator transposes them into. The zero value is ready for Grow.
+// row-major dead masks, the column-major (bitsliced) view the block
+// evaluator transposes them into, and the per-node death masks it counts.
+// The zero value is ready for Grow.
 type BatchScratch struct {
-	words int          // words per trial row
-	masks graph.Bitset // MaxBatch rows, row b at [b*words, (b+1)*words)
-	cols  []uint64     // per-cable trial columns, indexed by cable
+	words  int          // words per trial row
+	masks  graph.Bitset // MaxBatch rows, row b at [b*words, (b+1)*words)
+	cols   []uint64     // per-cable trial columns, indexed by cable
+	deaths []uint64     // per vulnerable node, padded to a multiple of 16
 }
 
 // Grow sizes the scratch for p, reusing backing arrays when large enough.
@@ -41,14 +43,9 @@ type BatchScratch struct {
 func (s *BatchScratch) Grow(p *Plan) {
 	w := graph.BitsetWords(p.NumCables())
 	s.words = w
-	if cap(s.masks) < MaxBatch*w {
-		s.masks = make(graph.Bitset, MaxBatch*w)
-	}
-	s.masks = s.masks[:MaxBatch*w]
-	if cap(s.cols) < w*64 {
-		s.cols = make([]uint64, w*64)
-	}
-	s.cols = s.cols[:w*64]
+	s.masks = grow(s.masks, MaxBatch*w)
+	s.cols = grow(s.cols, w*64)
+	s.deaths = grow(s.deaths, (len(p.vulnNodes)+15)&^15)
 }
 
 // Row returns trial b's dead-cable bitset within the block.
@@ -89,17 +86,7 @@ func (p *Plan) EvaluateBatch(s *BatchScratch, n int, out []Outcome) {
 		out[b] = Outcome{CablesFailed: f}
 		totalFailed += f
 	}
-	// Strategy break-even: the scalar walk costs a CSR visit per dead
-	// cable, the column path a fixed transpose per word group plus a few
-	// loads per vulnerable node. Timed per 64-trial block on the three
-	// generated networks, the two meet at about 10,600 dead cables on ITU
-	// (184 words), 610 on Intertubes (9) and 280 on the submarine map (8);
-	// 50 dead cables per word misses only in the bands between those
-	// points and 9,200, 450 and 400, at most about 1.5× the faster path
-	// there. Both compute identical counts, so this choice affects
-	// speed only — it must merely be deterministic, and it is: block
-	// content alone decides.
-	if totalFailed >= s.words*50 {
+	if p.columnsPay(totalFailed, s.words) {
 		p.unreachableColumns(s, n, out)
 	} else {
 		for b := 0; b < n; b++ {
@@ -111,6 +98,27 @@ func (p *Plan) EvaluateBatch(s *BatchScratch, n int, out []Outcome) {
 	}
 }
 
+// columnsPay is EvaluateBatch's strategy choice: the column path for a
+// block with at least words + len(vulnNodes)/16 dead cables, the scalar
+// walk below that. Both strategies read every word of the block once —
+// the walk scans each row, the columns transpose it — so the break-even
+// is set by what each adds: the walk a CSR visit per dead cable (about 14
+// ns on ITU to 45 ns on the submarine map, per 64-trial block at -cpu 1),
+// the columns an AND and a carry-save step per vulnerable node (about 1.7
+// ns). Timed per block, the two meet at about 65–100 dead cables on the
+// submarine map under S1 at 150 km (8 words, 1,064 vulnerable nodes),
+// under 10 on Intertubes (9, 54), 60–200 on ITU at 150 km (184, 799) and
+// 950 on ITU at 50 km (184, 7,254); the rule picks 74, 12, 233 and 637,
+// at most 1.15× the faster path in the bands between. Both strategies
+// compute identical counts, so the choice affects speed only; it is
+// deterministic, as the block's content and the plan's structure alone
+// decide.
+//
+//gicnet:hotpath
+func (p *Plan) columnsPay(totalFailed, words int) bool {
+	return totalFailed >= words+len(p.vulnNodes)/16
+}
+
 // unreachableColumns is the dense block strategy: bitslice the block into
 // per-cable trial columns, then for each vulnerable node AND its incident
 // cables' columns — the surviving bits are exactly the trials in which
@@ -119,41 +127,92 @@ func (p *Plan) EvaluateBatch(s *BatchScratch, n int, out []Outcome) {
 // node is visited exactly once, so the counts match the scalar walk's
 // visit-once-from-lowest-dead-cable accounting bit for bit.
 //
-// The counts are bit-sliced: each node's death mask is added into counter
-// planes with a ripple carry, plane j holding bit j of every trial's
-// count, so a node costs a few word operations however many trials it
-// dies in. bits.Len(len(vulnNodes)) planes hold any count, and one
+// The ANDs run bucket by bucket (cableBuckets): a fixed number of loads
+// per node of degree 1, 2 or 3, so no branch depends on the data, and a
+// short loop for the few nodes of higher degree. Each node's death mask
+// lands in s.deaths.
+//
+// The counts are bit-sliced: plane j holds bit j of every trial's count,
+// so a node costs a few word operations however many trials it dies in.
+// A Harley–Seal carry-save tree adds the death masks 16 at a time into
+// the ones, twos, fours and eights planes (csa keeps a+b+c = 2·hi+lo in
+// every bit lane, so the weighted sum of the planes and the carried-out
+// sixteens is exactly the number of masks added); each group's sixteens
+// mask then ripples into the planes from 4 up, and zero masks pad the
+// last group. bits.Len(len(vulnNodes)) planes hold any count, and one
 // transpose turns the planes into the n per-trial counts.
 //
 //gicnet:hotpath
 func (p *Plan) unreachableColumns(s *BatchScratch, n int, out []Outcome) {
 	words := s.words
-	var tmp [64]uint64
 	for wi := 0; wi < words; wi++ {
+		blk := (*[64]uint64)(s.cols[wi<<6:])
 		for b := 0; b < n; b++ {
-			tmp[b] = s.masks[b*words+wi]
+			blk[b] = s.masks[b*words+wi]
 		}
-		for b := n; b < MaxBatch; b++ {
-			tmp[b] = 0 // absent trials contribute no dead cables
-		}
-		graph.Transpose64(&tmp)
-		copy(s.cols[wi<<6:(wi+1)<<6], tmp[:])
+		clear(blk[n:]) // absent trials contribute no dead cables
+		graph.Transpose64(blk)
 	}
-	inc := p.inc
-	cols := s.cols
+	cols, d, vc := s.cols, s.deaths, &p.vulnCables
+	i := 0
+	for _, c := range vc.deg1 {
+		d[i] = cols[c]
+		i++
+	}
+	for k := 1; k < len(vc.deg2); k += 2 {
+		d[i] = cols[vc.deg2[k-1]] & cols[vc.deg2[k]]
+		i++
+	}
+	for k := 2; k < len(vc.deg3); k += 3 {
+		d[i] = cols[vc.deg3[k-2]] & cols[vc.deg3[k-1]] & cols[vc.deg3[k]]
+		i++
+	}
+	for h := 1; h < len(vc.hiStart); h++ {
+		m := ^uint64(0)
+		for _, c := range vc.hiCables[vc.hiStart[h-1]:vc.hiStart[h]] {
+			m &= cols[c]
+		}
+		d[i] = m
+		i++
+	}
+	clear(d[i:])
+
 	var planes [64]uint64
-	for _, ni := range p.vulnNodes {
-		lo, hi := inc.NodeCableStart[ni], inc.NodeCableStart[ni+1]
-		m := cols[inc.NodeCables[lo]]
-		for k := lo + 1; k < hi && m != 0; k++ {
-			m &= cols[inc.NodeCables[k]]
-		}
-		for j := 0; m != 0; j++ {
-			planes[j], m = planes[j]^m, planes[j]&m
+	var ones, twos, fours, eights uint64
+	for g := 16; g <= len(d); g += 16 {
+		x := (*[16]uint64)(d[g-16 : g])
+		var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
+		twosA, ones = csa(ones, x[0], x[1])
+		twosB, ones = csa(ones, x[2], x[3])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, x[4], x[5])
+		twosB, ones = csa(ones, x[6], x[7])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsA, fours = csa(fours, foursA, foursB)
+		twosA, ones = csa(ones, x[8], x[9])
+		twosB, ones = csa(ones, x[10], x[11])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, x[12], x[13])
+		twosB, ones = csa(ones, x[14], x[15])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsB, fours = csa(fours, foursA, foursB)
+		sixteens, eights = csa(eights, eightsA, eightsB)
+		for j := 4; sixteens != 0; j++ {
+			planes[j], sixteens = planes[j]^sixteens, planes[j]&sixteens
 		}
 	}
+	planes[0], planes[1], planes[2], planes[3] = ones, twos, fours, eights
 	graph.Transpose64(&planes)
 	for b := 0; b < n; b++ {
 		out[b].NodesUnreachable = int(planes[b])
 	}
+}
+
+// csa is a carry-save adder on 64 bit lanes: in every lane,
+// a + b + c = 2·hi + lo.
+//
+//gicnet:hotpath
+func csa(a, b, c uint64) (hi, lo uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
 }

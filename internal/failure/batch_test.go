@@ -1,7 +1,9 @@
 package failure
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"gicnet/internal/dataset"
@@ -196,17 +198,54 @@ func TestBatchScratchReuse(t *testing.T) {
 	}
 }
 
+// starNetwork is a hub with an immortal cable (length 0, so no repeaters)
+// and leaves leaf nodes, each on its own cable to the hub: the leaves are
+// the only vulnerable nodes, all of degree 1, and killing cables [0, k)
+// strands exactly k of them.
+func starNetwork(leaves int) *topology.Network {
+	net := &topology.Network{Name: "star"}
+	net.Nodes = append(net.Nodes, topology.Node{Name: "hub"}, topology.Node{Name: "hub2"})
+	for i := 0; i < leaves; i++ {
+		net.Nodes = append(net.Nodes, topology.Node{Name: fmt.Sprintf("leaf%d", i)})
+		net.Cables = append(net.Cables, topology.Cable{Name: fmt.Sprintf("c%d", i), KnownLength: true,
+			Segments: []topology.Segment{{A: 0, B: 2 + i, LengthKm: 1000}}})
+	}
+	net.Cables = append(net.Cables, topology.Cable{Name: "immortal", KnownLength: true,
+		Segments: []topology.Segment{{A: 0, B: 1, LengthKm: 0}}})
+	return net
+}
+
 // TestColumnCountersMatchScalar forces the column strategy, whose counts
-// are bit-sliced across counter planes, on blocks chosen to stress the
-// counters, and holds every count to the scalar walk: ITU blocks at p=1
-// and p=0.5 (50 km), where thousands of nodes die per trial and the p=1
-// counts reach the top plane bits.Len(len(vulnNodes)) needs; partial blocks,
-// whose absent trials must neither be counted nor written even when their
-// stale rows are all dead; and intertubes blocks.
+// are bit-sliced through a carry-save tree, on blocks chosen to stress it,
+// and holds every count to the scalar walk:
+//   - ITU blocks at p=1 and p=0.5 (50 km), where thousands of nodes die per
+//     trial and the p=1 counts reach the top plane bits.Len(len(vulnNodes))
+//     needs;
+//   - partial blocks, whose absent trials must neither be counted nor
+//     written even when their stale rows are all dead;
+//   - intertubes blocks, whose vulnerable nodes reach degree 10 (the
+//     high-degree bucket);
+//   - a star of 70 leaves whose trial b kills cables [0, b), so trial b
+//     strands exactly b nodes: the counts step through 15, 16 and 17, and
+//     the sixteens carry leaves an all-ones low nibble.
+//
+// Across the cases, buckets and node lists whose sizes are not multiples of
+// 16 pad the last carry-save group, and one scratch serves every case, the
+// largest plan first, so the padding of each later group starts out
+// holding an earlier block's death masks. Each case also checks the strategy
+// choice on both sides of its break-even, and that EvaluateBatch, whichever
+// strategy it picks, gives Evaluate's outcomes.
 func TestColumnCountersMatchScalar(t *testing.T) {
 	w, err := dataset.Default()
 	if err != nil {
 		t.Fatal(err)
+	}
+	prefixRows := func(s *BatchScratch, n int) {
+		for b := 0; b < n; b++ {
+			row := s.Row(b)
+			row.Clear()
+			row.SetRange(0, b)
+		}
 	}
 	cases := []struct {
 		name     string
@@ -214,22 +253,29 @@ func TestColumnCountersMatchScalar(t *testing.T) {
 		model    Model
 		spacing  float64
 		n        int
-		topPlane bool // some trial's count must reach the top plane
+		topPlane bool                         // some trial's count must reach the top plane
+		rows     func(s *BatchScratch, n int) // nil: sample the block
 	}{
-		{"itu p=1", w.ITU, Uniform{P: 1}, 50, MaxBatch, true},
-		{"itu p=1 partial", w.ITU, Uniform{P: 1}, 50, 37, true},
-		{"itu p=0.5", w.ITU, Uniform{P: 0.5}, 50, MaxBatch, false},
-		{"submarine S1 partial", w.Submarine, S1(), 150, 5, false},
-		{"intertubes p=0.2", w.Intertubes, Uniform{P: 0.2}, 100, MaxBatch, false},
-		{"intertubes p=0.05 partial", w.Intertubes, Uniform{P: 0.05}, 100, 50, false},
+		{"itu p=1", w.ITU, Uniform{P: 1}, 50, MaxBatch, true, nil},
+		{"itu p=1 partial", w.ITU, Uniform{P: 1}, 50, 37, true, nil},
+		{"itu p=0.5", w.ITU, Uniform{P: 0.5}, 50, MaxBatch, false, nil},
+		{"submarine S1 partial", w.Submarine, S1(), 150, 5, false, nil},
+		{"intertubes p=0.2", w.Intertubes, Uniform{P: 0.2}, 100, MaxBatch, false, nil},
+		{"intertubes p=0.05 partial", w.Intertubes, Uniform{P: 0.05}, 100, 50, false, nil},
+		{"intertubes p=1", w.Intertubes, Uniform{P: 1}, 100, MaxBatch, true, nil},
+		{"star prefixes", starNetwork(70), Uniform{P: 0.5}, 150, MaxBatch, false, prefixRows},
 	}
 	const sentinel = -7
+	var sawHighDegree, sawUnevenGroup, sawSixteen bool
+	var scratch BatchScratch
 	for _, c := range cases {
 		plan, err := Compile(c.net, c.model, c.spacing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scratch BatchScratch
+		vc := &plan.vulnCables
+		sawHighDegree = sawHighDegree || len(vc.hiStart) > 1
+		sawUnevenGroup = sawUnevenGroup || len(plan.vulnNodes)%16 != 0 || len(vc.deg1)%16 != 0
 		scratch.Grow(plan)
 		for b := 0; b < MaxBatch; b++ {
 			row := scratch.Row(b)
@@ -237,8 +283,12 @@ func TestColumnCountersMatchScalar(t *testing.T) {
 				row[wi] = ^uint64(0) // stale rows past n: every cable dead
 			}
 		}
-		root := *xrand.New(1859)
-		plan.SampleBatch(&scratch, &root, 0, c.n)
+		if c.rows != nil {
+			c.rows(&scratch, c.n)
+		} else {
+			root := *xrand.New(1859)
+			plan.SampleBatch(&scratch, &root, 0, c.n)
+		}
 		out := make([]Outcome, MaxBatch)
 		for b := range out {
 			out[b].NodesUnreachable = sentinel
@@ -251,6 +301,7 @@ func TestColumnCountersMatchScalar(t *testing.T) {
 				t.Fatalf("%s trial %d: columns counted %d unreachable, scalar %d", c.name, b, out[b].NodesUnreachable, want)
 			}
 			top = max(top, want)
+			sawSixteen = sawSixteen || want == 16
 		}
 		for b := c.n; b < MaxBatch; b++ {
 			if out[b].NodesUnreachable != sentinel {
@@ -260,5 +311,84 @@ func TestColumnCountersMatchScalar(t *testing.T) {
 		if planes := bits.Len(uint(len(plan.vulnNodes))); c.topPlane && top < 1<<(planes-1) {
 			t.Fatalf("%s: largest count %d never reaches plane %d of %d", c.name, top, planes-1, planes)
 		}
+
+		words := scratch.words
+		even := words + len(plan.vulnNodes)/16
+		if plan.columnsPay(even-1, words) || !plan.columnsPay(even, words) {
+			t.Fatalf("%s: the column path must start at %d dead cables per block", c.name, even)
+		}
+		plan.EvaluateBatch(&scratch, c.n, out)
+		for b := 0; b < c.n; b++ {
+			if want := plan.Evaluate(scratch.Row(b)); out[b] != want {
+				t.Fatalf("%s trial %d: EvaluateBatch gave %+v, Evaluate %+v", c.name, b, out[b], want)
+			}
+		}
+	}
+	if !sawHighDegree || !sawUnevenGroup || !sawSixteen {
+		t.Fatalf("cases missed a shape: high-degree bucket %v, padded group %v, a count of 16 %v",
+			sawHighDegree, sawUnevenGroup, sawSixteen)
+	}
+}
+
+// TestPlanValidateCatchesBucketDamage corrupts the cable buckets of a plan
+// whose vulnerable nodes fill every bucket (intertubes, S1, 150 km) — an
+// entry dropped, duplicated or changed in each — and requires Validate to
+// refuse every one.
+func TestPlanValidateCatchesBucketDamage(t *testing.T) {
+	w, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(w.Intertubes, S1(), 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	good := plan.vulnCables
+	if len(good.deg1) == 0 || len(good.deg2) == 0 || len(good.deg3) == 0 || len(good.hiStart) < 3 {
+		t.Fatalf("intertubes S1 buckets do not cover every degree: %+v", good)
+	}
+	clone := func() cableBuckets {
+		return cableBuckets{
+			deg1: slices.Clone(good.deg1), deg2: slices.Clone(good.deg2), deg3: slices.Clone(good.deg3),
+			hiStart: slices.Clone(good.hiStart), hiCables: slices.Clone(good.hiCables),
+		}
+	}
+	lastHi := func(b *cableBuckets) []int32 {
+		return b.hiCables[b.hiStart[len(b.hiStart)-2]:]
+	}
+	damage := []struct {
+		name string
+		f    func(b *cableBuckets)
+	}{
+		{"degree-1 entry dropped", func(b *cableBuckets) { b.deg1 = b.deg1[1:] }},
+		{"degree-1 entry duplicated", func(b *cableBuckets) { b.deg1 = append(b.deg1, b.deg1[len(b.deg1)-1]) }},
+		{"degree-2 entry dropped", func(b *cableBuckets) { b.deg2 = b.deg2[:len(b.deg2)-2] }},
+		{"degree-2 entry duplicated", func(b *cableBuckets) { b.deg2 = append(b.deg2, b.deg2[:2]...) }},
+		{"degree-3 entry dropped", func(b *cableBuckets) { b.deg3 = b.deg3[3:] }},
+		{"degree-3 entry duplicated", func(b *cableBuckets) { b.deg3 = append(b.deg3, b.deg3[len(b.deg3)-3:]...) }},
+		{"high-degree node dropped", func(b *cableBuckets) {
+			b.hiCables = b.hiCables[:len(b.hiCables)-len(lastHi(b))]
+			b.hiStart = b.hiStart[:len(b.hiStart)-1]
+		}},
+		{"high-degree node duplicated", func(b *cableBuckets) {
+			b.hiCables = append(b.hiCables, lastHi(b)...)
+			b.hiStart = append(b.hiStart, int32(len(b.hiCables)))
+		}},
+		{"a cable changed", func(b *cableBuckets) { b.deg2[1]++ }},
+		{"a node's cables out of order", func(b *cableBuckets) { b.deg3[0], b.deg3[1] = b.deg3[1], b.deg3[0] }},
+	}
+	for _, d := range damage {
+		plan.vulnCables = clone()
+		d.f(&plan.vulnCables)
+		if err := plan.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the damaged buckets", d.name)
+		}
+	}
+	plan.vulnCables = good
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,9 +1,11 @@
 package failure
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"gicnet/internal/graph"
@@ -75,6 +77,11 @@ type Plan struct {
 	// outright. Ascending node order.
 	vulnNodes []int32
 
+	// vulnCables is vulnNodes' incident cables bucketed by node degree,
+	// the layout the block evaluator's column ANDs read. It is a function
+	// of vulnNodes and the network alone, built and kept with it.
+	vulnCables cableBuckets
+
 	// contraction caches the network's core contraction for the current
 	// at-risk set. Guarded by contractMu and self-validating through
 	// Matches, so arena recompiles that preserve the immortal core (every
@@ -108,7 +115,11 @@ func Compile(net *topology.Network, m Model, spacingKm float64) (*Plan, error) {
 // (pointer) and spacing (bits) keeps the repeater counts, and one that
 // also leaves the at-risk cable set unchanged keeps the vulnerable nodes.
 // A network is immutable once its derived views exist, so both are exact.
+// A nil network or model is refused.
 func CompileInto(p *Plan, net *topology.Network, m Model, spacingKm float64) error {
+	if net == nil || m == nil {
+		return errors.New("failure: compile needs a network and a model")
+	}
 	if err := CheckSpacing(spacingKm); err != nil {
 		return err
 	}
@@ -445,6 +456,48 @@ func (p *Plan) buildSampler(sameNet bool) {
 			p.vulnNodes = append(p.vulnNodes, int32(ni))
 		}
 	}
+	p.vulnCables.build(inc, p.vulnNodes)
+}
+
+// cableBuckets holds a node list's incident cables grouped by the nodes'
+// degree, so that each group is a loop of fixed width: the one cable of
+// each degree-1 node in deg1, the two of each degree-2 node at
+// deg2[2i:2i+2], the three of each degree-3 node at deg3[3i:3i+3], and
+// the cables of higher-degree node i at hiCables[hiStart[i]:hiStart[i+1]].
+// Every bucket keeps the list's node order, and each node's cables are
+// its NodeCables run, ascending.
+type cableBuckets struct {
+	deg1, deg2, deg3  []int32
+	hiStart, hiCables []int32
+}
+
+// build fills the buckets for nodes, sizing each exactly before filling
+// it, so a rebuild within the backing arrays' capacity allocates nothing.
+func (b *cableBuckets) build(inc *topology.IncidenceBits, nodes []int32) {
+	var size [4]int // cables per bucket: degrees 1, 2, 3 and higher
+	nHi := 0
+	for _, ni := range nodes {
+		d := int(inc.NodeCableStart[ni+1] - inc.NodeCableStart[ni])
+		size[min(d, 4)-1] += d
+		if d >= 4 {
+			nHi++
+		}
+	}
+	b.deg1 = grow(b.deg1, size[0])
+	b.deg2 = grow(b.deg2, size[1])
+	b.deg3 = grow(b.deg3, size[2])
+	b.hiCables = grow(b.hiCables, size[3])
+	b.hiStart = append(grow(b.hiStart, nHi+1)[:0], 0)
+	dst := [4][]int32{b.deg1, b.deg2, b.deg3, b.hiCables}
+	var at [4]int
+	for _, ni := range nodes {
+		cs := inc.NodeCables[inc.NodeCableStart[ni]:inc.NodeCableStart[ni+1]]
+		k := min(len(cs), 4) - 1
+		at[k] += copy(dst[k][at[k]:], cs)
+		if k == 3 {
+			b.hiStart = append(b.hiStart, int32(at[3]))
+		}
+	}
 }
 
 // Network returns the network the plan was compiled for.
@@ -629,9 +682,10 @@ func (p *Plan) DeathProbs() []float64 {
 
 // Validate checks the plan's internal invariants: every death probability
 // in [0,1] and finite, repeater counts non-negative, the incidence view
-// shaped for the network, and the sampling program covering every cable
+// shaped for the network, the sampling program covering every cable
 // with positive probability exactly once, with every stored threshold
-// deciding its probability exactly. Compile always produces a valid
+// deciding its probability exactly, and the vulnerable nodes and their
+// cable buckets matching the at-risk set. Compile always produces a valid
 // plan; Validate exists so the verification subsystem can prove that
 // rather than assume it.
 func (p *Plan) Validate() error {
@@ -685,6 +739,50 @@ func (p *Plan) Validate() error {
 	if vi != len(p.vulnNodes) {
 		return fmt.Errorf("failure: plan %s/%s: vulnNodes has %d entries beyond the node range",
 			p.net.Name, p.modelName, len(p.vulnNodes)-vi)
+	}
+	if err := p.vulnCables.validate(p.inc, p.vulnNodes); err != nil {
+		return fmt.Errorf("failure: plan %s/%s: %w", p.net.Name, p.modelName, err)
+	}
+	return nil
+}
+
+// validate checks that the buckets partition nodes: walking the list in
+// order, each node's exact cable list is the next entry of its degree's
+// bucket, and every bucket is used up at the end, so no entry is dropped,
+// duplicated, misplaced or foreign.
+func (b *cableBuckets) validate(inc *topology.IncidenceBits, nodes []int32) error {
+	if len(b.hiStart) == 0 || b.hiStart[0] != 0 {
+		return fmt.Errorf("high-degree cable offsets %v do not start at 0", b.hiStart)
+	}
+	next := func(bucket []int32, k, d int) []int32 {
+		return bucket[min(k, len(bucket)):min(k+d, len(bucket))]
+	}
+	var k1, k2, k3, kHi int
+	for _, ni := range nodes {
+		cs := inc.NodeCables[inc.NodeCableStart[ni]:inc.NodeCableStart[ni+1]]
+		var got []int32
+		switch len(cs) {
+		case 1:
+			got, k1 = next(b.deg1, k1, 1), k1+1
+		case 2:
+			got, k2 = next(b.deg2, k2, 2), k2+2
+		case 3:
+			got, k3 = next(b.deg3, k3, 3), k3+3
+		default:
+			if kHi+1 < len(b.hiStart) {
+				lo, hi := max(int(b.hiStart[kHi]), 0), int(b.hiStart[kHi+1])
+				got = next(b.hiCables, lo, max(hi-lo, 0))
+			}
+			kHi++
+		}
+		if !slices.Equal(got, cs) {
+			return fmt.Errorf("degree-%d bucket holds %v for vulnerable node %d, want its cables %v",
+				len(cs), got, ni, cs)
+		}
+	}
+	if k1 != len(b.deg1) || k2 != len(b.deg2) || k3 != len(b.deg3) ||
+		kHi != len(b.hiStart)-1 || int(b.hiStart[kHi]) != len(b.hiCables) {
+		return fmt.Errorf("cable buckets hold entries beyond the %d vulnerable nodes", len(nodes))
 	}
 	return nil
 }

@@ -199,11 +199,12 @@ func BenchmarkPlanTrialLoop(b *testing.B) {
 
 // TestRecompileMatchesCompile drives one arena plan through the recompiles
 // a uniform sweep makes (ten probabilities on one network and spacing,
-// where repeater counts and, past p=0, the vulnerable nodes carry over)
-// and then across spacings, networks and at-risk sets, where they must
-// not. After every step the arena must equal a fresh Compile field by
-// field — probabilities bit for bit, repeater counts, template and
-// at-risk bitsets, vulnerable nodes, sampling program — and validate.
+// where repeater counts and, past p=0, the vulnerable nodes and their
+// cable buckets carry over) and then across spacings, networks and at-risk
+// sets, where they must not. After every step the arena must equal a
+// fresh Compile field by field — probabilities bit for bit, repeater
+// counts, template and at-risk bitsets, vulnerable nodes, cable buckets,
+// sampling program — and validate.
 func TestRecompileMatchesCompile(t *testing.T) {
 	netA, netB := fuzzNetwork(3, 32, 48), fuzzNetwork(99, 20, 40)
 	mixed := batchModels()[5]
@@ -254,6 +255,7 @@ func TestRecompileMatchesCompile(t *testing.T) {
 			{"template", arena.baseDead, fresh.baseDead},
 			{"at-risk set", arena.atRisk, fresh.atRisk},
 			{"vulnerable nodes", append([]int32{}, arena.vulnNodes...), append([]int32{}, fresh.vulnNodes...)},
+			{"cable buckets", normBuckets(arena.vulnCables), normBuckets(fresh.vulnCables)},
 			{"sampling program", normProgram(arena.prog), normProgram(fresh.prog)},
 			{"connected count", arena.connected, fresh.connected},
 			{"model name", arena.modelName, fresh.modelName},
@@ -263,6 +265,17 @@ func TestRecompileMatchesCompile(t *testing.T) {
 					i, st.net.Name, st.m.Name(), st.spacing, c.name, c.got, c.want)
 			}
 		}
+	}
+}
+
+// normBuckets copies cable buckets into non-nil slices, for DeepEqual.
+func normBuckets(b cableBuckets) cableBuckets {
+	return cableBuckets{
+		deg1:     append([]int32{}, b.deg1...),
+		deg2:     append([]int32{}, b.deg2...),
+		deg3:     append([]int32{}, b.deg3...),
+		hiStart:  append([]int32{}, b.hiStart...),
+		hiCables: append([]int32{}, b.hiCables...),
 	}
 }
 

@@ -10,13 +10,19 @@ import "gicnet/internal/cpuid"
 // the OS must save the YMM state — and only engaged past a few vector
 // widths, where it clearly beats the scalar POPCNT chain; short masks take
 // the unrolled Go path with no dispatch cost beyond one predictable branch.
+// The transpose runs its AVX-512 kernel (kernels_amd64.s) on hosts that
+// pass the module's AVX-512 gate, cpuid.AVX512, and the Go butterfly on
+// the rest.
 
 // avx2MinWords is the slice length (in words) below which the unrolled Go
 // loop wins: the vector routine pays a constant setup (LUT loads,
 // VZEROUPPER) that only amortises across at least two 4-word steps.
 const avx2MinWords = 8
 
-var hasAVX2 = detectAVX2()
+var (
+	hasAVX2   = detectAVX2()
+	hasAVX512 = cpuid.AVX512()
+)
 
 //gicnet:hotpath
 func popcountWords(w []uint64) int {
@@ -24,6 +30,24 @@ func popcountWords(w []uint64) int {
 		return popcountWordsAVX2(w)
 	}
 	return popcountWordsGo(w)
+}
+
+//gicnet:hotpath
+func transpose64(a *[64]uint64) {
+	if hasAVX512 {
+		transpose64AVX512(a)
+		return
+	}
+	transpose64Go(a)
+}
+
+// transposeFlavour names the transpose this binary runs, for test logs.
+// CPUFeatures leaves it out: benchmark snapshots key on that string.
+func transposeFlavour() string {
+	if hasAVX512 {
+		return "avx512"
+	}
+	return "generic"
 }
 
 func cpuFeatures() string {
@@ -63,3 +87,8 @@ func detectAVX2() bool {
 
 //go:noescape
 func popcountWordsAVX2(w []uint64) int
+
+// transpose64AVX512 is Transpose64 in ZMM registers (kernels_amd64.s).
+//
+//go:noescape
+func transpose64AVX512(a *[64]uint64)

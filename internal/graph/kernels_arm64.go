@@ -16,6 +16,12 @@ func popcountWords(w []uint64) int {
 	return popcountWordsGo(w)
 }
 
+//gicnet:hotpath
+func transpose64(a *[64]uint64) { transpose64Go(a) }
+
+// transposeFlavour names the transpose this binary runs, for test logs.
+func transposeFlavour() string { return "generic" }
+
 func cpuFeatures() string { return "neon" }
 
 // Assembly-backed declaration (kernels_arm64.s). An odd trailing word

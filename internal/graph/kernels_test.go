@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // The kernel tests are differential: the popcount is compared against a
 // deliberately naive per-bit loop on randomized and adversarial inputs.
@@ -93,30 +96,103 @@ func TestBitsetKernels(t *testing.T) {
 	}
 }
 
-func TestTranspose64(t *testing.T) {
-	rng := xorshift(0xDEADBEEFCAFE1234)
-	for trial := 0; trial < 64; trial++ {
-		var m, orig [64]uint64
-		for i := range m {
-			m[i] = rng.next()
-		}
-		orig = m
-		Transpose64(&m)
+// checkTranspose holds Transpose64 (the kernel where the host has it) and
+// the Go butterfly to the definition on one matrix, bit by bit, and
+// requires a second transpose to restore it.
+func checkTranspose(t *testing.T, orig [64]uint64) {
+	t.Helper()
+	for _, f := range []struct {
+		name string
+		fn   func(*[64]uint64)
+	}{{"Transpose64 (" + transposeFlavour() + ")", Transpose64}, {"transpose64Go", transpose64Go}} {
+		m := orig
+		f.fn(&m)
 		for i := 0; i < 64; i++ {
 			for j := 0; j < 64; j++ {
 				got := m[i] >> uint(j) & 1
 				want := orig[j] >> uint(i) & 1
 				if got != want {
-					t.Fatalf("trial %d: transposed[%d] bit %d = %d, want orig[%d] bit %d = %d",
-						trial, i, j, got, j, i, want)
+					t.Fatalf("%s: transposed[%d] bit %d = %d, want orig[%d] bit %d = %d",
+						f.name, i, j, got, j, i, want)
 				}
 			}
 		}
-		Transpose64(&m)
+		f.fn(&m)
 		if m != orig {
-			t.Fatalf("trial %d: double transpose is not the identity", trial)
+			t.Fatalf("%s: double transpose is not the identity", f.name)
 		}
 	}
+}
+
+func TestTranspose64(t *testing.T) {
+	t.Logf("transpose flavour: %s", transposeFlavour())
+	rng := xorshift(0xDEADBEEFCAFE1234)
+	for trial := 0; trial < 64; trial++ {
+		var m [64]uint64
+		for i := range m {
+			m[i] = rng.next()
+		}
+		checkTranspose(t, m)
+	}
+	// One set bit at every position: each lands exactly once.
+	for i := 0; i < 64; i++ {
+		for j := 0; j < 64; j++ {
+			var m [64]uint64
+			m[i] = 1 << uint(j)
+			checkTranspose(t, m)
+		}
+	}
+}
+
+// FuzzTranspose64 holds the transpose kernel to the Go butterfly on the
+// fuzzer's matrix (its bytes fill the rows in order, the rest zero), and
+// requires transposing twice to give the identity.
+func FuzzTranspose64(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x01})
+	f.Add(bytes.Repeat([]byte{0xFF}, 512))
+	f.Add(bytes.Repeat([]byte{0xA5}, 256))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m [64]uint64
+		for i, by := range data {
+			if i >= 512 {
+				break
+			}
+			m[i>>3] |= uint64(by) << (uint(i&7) * 8)
+		}
+		orig := m
+		want := m
+		Transpose64(&m)
+		transpose64Go(&want)
+		if m != want {
+			t.Fatalf("Transpose64 (%s) differs from the Go butterfly", transposeFlavour())
+		}
+		Transpose64(&m)
+		if m != orig {
+			t.Fatalf("Transpose64 (%s) twice is not the identity", transposeFlavour())
+		}
+	})
+}
+
+// BenchmarkTranspose64 times the transpose this host dispatches to
+// (kernel: AVX-512 where cpuid.AVX512 passes, else the Go butterfly) and
+// the Go butterfly itself (go).
+func BenchmarkTranspose64(b *testing.B) {
+	var m [64]uint64
+	rng := xorshift(0x9E3779B97F4A7C15)
+	for i := range m {
+		m[i] = rng.next()
+	}
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Transpose64(&m)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			transpose64Go(&m)
+		}
+	})
 }
 
 // FuzzBitsetKernels drives the popcount against the naive loop across

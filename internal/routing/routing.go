@@ -465,17 +465,27 @@ func (s Shift) Ratio() float64 {
 }
 
 // CompareLoads aggregates per-segment loads to cables and returns the
-// cables with increased load, biggest absolute increase first.
+// cables with increased load, biggest absolute increase first. A nil
+// network or report, and reports that do not fit the network, are refused.
 func CompareLoads(net *topology.Network, before, after *Report) ([]Shift, error) {
-	if len(before.SegmentLoad) != len(after.SegmentLoad) {
+	if net == nil || before == nil || after == nil {
+		return nil, errors.New("routing: compare needs a network and two reports")
+	}
+	if len(before.SegmentLoad) != len(after.SegmentLoad) ||
+		len(before.SegmentCable) != len(before.SegmentLoad) || len(after.SegmentCable) != len(after.SegmentLoad) {
 		return nil, fmt.Errorf("routing: report shapes differ: %d vs %d",
 			len(before.SegmentLoad), len(after.SegmentLoad))
 	}
-	perCableBefore := make([]float64, len(net.Cables))
-	perCableAfter := make([]float64, len(net.Cables))
+	nc := len(net.Cables)
+	perCableBefore := make([]float64, nc)
+	perCableAfter := make([]float64, nc)
 	for i := range before.SegmentLoad {
-		perCableBefore[before.SegmentCable[i]] += before.SegmentLoad[i]
-		perCableAfter[after.SegmentCable[i]] += after.SegmentLoad[i]
+		cb, ca := before.SegmentCable[i], after.SegmentCable[i]
+		if cb < 0 || cb >= nc || ca < 0 || ca >= nc {
+			return nil, fmt.Errorf("routing: segment %d names cable %d and %d of a %d-cable network", i, cb, ca, nc)
+		}
+		perCableBefore[cb] += before.SegmentLoad[i]
+		perCableAfter[ca] += after.SegmentLoad[i]
 	}
 	var out []Shift
 	for ci := range net.Cables {

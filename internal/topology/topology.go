@@ -138,10 +138,16 @@ var (
 // ErrDeadSet reports a dead-cable set that does not fit its network.
 var ErrDeadSet = errors.New("topology: dead-cable set does not fit the network")
 
+var errNilNetwork = errors.New("topology: nil network")
+
 // Validate checks structural integrity. It must pass before Graph is used.
 // A successful check is cached (sweeps re-validate per point), under the
 // same contract as the derived-view caches: don't mutate after first use.
+// A nil network is refused.
 func (n *Network) Validate() error {
+	if n == nil {
+		return errNilNetwork
+	}
 	if n.validated.Load() {
 		return nil
 	}
@@ -190,9 +196,6 @@ func (n *Network) validate() error {
 // segments or graph edges by the set; a stray bit would otherwise index
 // past the cable list in DeadEdgeBitsInto.
 func (n *Network) ValidateDead(cableDead graph.Bitset) error {
-	if n == nil {
-		return errors.New("topology: nil network")
-	}
 	if err := n.Validate(); err != nil {
 		return err
 	}

@@ -8,9 +8,10 @@ import (
 	"gicnet/internal/cpuid"
 )
 
-// useAVX512 selects the vector kernel (below_amd64.s). It is set once at
-// init from the CPU's features; tests clear it to run the Go loop.
-var useAVX512 = detectAVX512()
+// useAVX512 selects the vector kernels (below_amd64.s). It is set once at
+// init from the module's AVX-512 gate (cpuid.AVX512), which the transpose
+// kernel in internal/graph reads too.
+var useAVX512 = cpuid.AVX512()
 
 // belowInto runs the vector kernel when the host has it, and advances the
 // stream past the layout's n bits itself: the kernel only reads the state.
@@ -47,31 +48,6 @@ func cpuFeatures() string {
 		return "avx512"
 	}
 	return "generic"
-}
-
-// detectAVX512 is the kernel's gate. CPUID leaf 7 must advertise
-// AVX-512F (the 512-bit forms), DQ (VPMULLQ, KMOVB) and BMI2 (PDEP);
-// leaf 1 must advertise OSXSAVE; and XCR0 must show the OS saving the SSE,
-// AVX, opmask and both upper-ZMM states, without which the kernel would
-// fault or lose registers across a context switch.
-func detectAVX512() bool {
-	maxID, _, _, _ := cpuid.Query(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid.Query(1, 0)
-	const osxsave = 1 << 27
-	if ecx1&osxsave == 0 {
-		return false
-	}
-	xcr0, _ := cpuid.XCR0()
-	const avx512State = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
-	if xcr0&avx512State != avx512State {
-		return false
-	}
-	_, ebx7, _, _ := cpuid.Query(7, 0)
-	const bmi2AndAVX512 = 1<<8 | 1<<16 | 1<<17
-	return ebx7&bmi2AndAVX512 == bmi2AndAVX512
 }
 
 // belowIntoAVX512 is BelowInto's loop over the layout's n draws, drawing
